@@ -61,7 +61,6 @@ class RunConfig:
     tau_axis: float | None = None
     output_format: str = "text"
     out_path: str | None = None
-    workers: int = 1
 
 
 def _g6(value) -> str:
@@ -77,11 +76,10 @@ def _axis_schedule(tau_axis: float | None) -> tuple[float, ...]:
 
 def _certify_config(cfg: RunConfig) -> CertifyConfig:
     return CertifyConfig(
-        samples=cfg.samples or 4096,
+        samples=4096 if cfg.samples is None else cfg.samples,
         tau_zero=cfg.tau_zero,
         tau_axis_schedule=_axis_schedule(cfg.tau_axis),
         seed=cfg.seed,
-        face_workers=cfg.workers,
     )
 
 
@@ -183,6 +181,18 @@ def _run_exponent(cfg: RunConfig):
 
 def _run_verify(cfg: RunConfig):
     system = _load_system(cfg)
+    box = cfg.box or tuple((-3.0, 3.0) for _ in range(system.n))
+    if len(box) != system.n:
+        raise UsageError(f"--box needs {system.n} intervals, got {len(box)}")
+    try:
+        plan = SamplePlan(
+            box=box,
+            count=2000 if cfg.samples is None else cfg.samples,
+            rings=cfg.rings,
+            seed=cfg.seed,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     report = holder_exponent(max(system.d, 1), system.n, system.p)
     verdict = certify_system(system, _certify_config(cfg))
     hypothesis = verdict.convenient and verdict.status == "nondegenerate_probable"
@@ -194,13 +204,6 @@ def _run_verify(cfg: RunConfig):
         nondegenerate_probable=verdict.status == "nondegenerate_probable",
     )
 
-    box = cfg.box or tuple((-3.0, 3.0) for _ in range(system.n))
-    plan = SamplePlan(
-        box=box,
-        count=cfg.samples or 2000,
-        rings=cfg.rings,
-        seed=cfg.seed,
-    )
     verification = verify_bound(
         system,
         report,
@@ -336,6 +339,13 @@ def _parse_box(text: str):
     return tuple(intervals)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_floats(text: str):
     return tuple(float(v) for v in text.split(","))
 
@@ -357,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p._negative_number_matcher = negative_value
         p.add_argument("input", help="polynomial system file")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--samples", type=_positive_int, default=None)
         p.add_argument("--box", type=_parse_box, default=None, help="lo:hi,lo:hi,...")
         p.add_argument("--rings", type=_parse_floats, default=None, help="r1,r2,...")
         p.add_argument("--point", type=_parse_floats, default=None, help="v1,v2,...")
@@ -365,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau-axis", type=float, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -387,10 +396,12 @@ def main(argv=None) -> int:
         tau_axis=args.tau_axis,
         output_format=args.format,
         out_path=args.out,
-        workers=args.workers,
     )
     try:
         code, rendered = run(cfg)
+        if cfg.out_path:
+            with open(cfg.out_path, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -400,10 +411,7 @@ def main(argv=None) -> int:
     except (FaceEnumerationError, FeasibleSetEmptyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-    else:
+    if not cfg.out_path:
         print(rendered)
     return code
 

@@ -97,22 +97,35 @@ def _hyperplane_normal(diffs: Sequence[Sequence[int]], k: int) -> tuple[int, ...
     return tuple(normal)
 
 
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination; returns (reduced rows, pivot columns)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        if top == len(a):
+            break
+        pivot = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[top], a[pivot] = a[pivot], a[top]
+        inv = 1 / a[top][col]
+        a[top] = [v * inv for v in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[top])]
+        pivots.append(col)
+    return a, pivots
+
+
 def _solve_fraction(matrix, rhs) -> list[Fraction]:
     """Solve a small nonsingular rational system exactly."""
     n = len(rhs)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    a, pivots = _row_reduce([list(row[:n]) + [b] for row, b in zip(matrix, rhs)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return [row[n] for row in a]
 
 
 def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:

@@ -66,7 +66,7 @@ class Polynomial:
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero
     Fractions.  The zero polynomial has an empty map.  Instances are
-    treated as immutable: share freely across workers, never mutate
+    treated as immutable: share freely across threads, never mutate
     ``terms`` after construction.
     """
 
@@ -234,17 +234,20 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __str__(self):
+        return self._render([_default_name(j, self.nvars) for j in range(self.nvars)])
+
+    def _render(self, varnames: Sequence[str]) -> str:
         if not self.terms:
             return "0"
         pieces = []
         for kappa in sorted(self.terms, key=grlex_key, reverse=True):
             coeff = self.terms[kappa]
             factors = []
-            for j, k in enumerate(kappa):
+            for name, k in zip(varnames, kappa):
                 if k == 1:
-                    factors.append(_default_name(j, self.nvars))
+                    factors.append(name)
                 elif k > 1:
-                    factors.append(f"{_default_name(j, self.nvars)}^{k}")
+                    factors.append(f"{name}^{k}")
             mono = "*".join(factors)
             mag = abs(coeff)
             if not mono:
@@ -268,20 +271,10 @@ class Polynomial:
         """Render with explicit variable names (grammar round-trippable)."""
         if len(varnames) != self.nvars:
             raise DimensionMismatchError("varnames length mismatch")
-        global _NAME_OVERRIDE
-        _NAME_OVERRIDE = tuple(varnames)
-        try:
-            return str(self)
-        finally:
-            _NAME_OVERRIDE = None
-
-
-_NAME_OVERRIDE: tuple[str, ...] | None = None
+        return self._render(varnames)
 
 
 def _default_name(j: int, nvars: int) -> str:
-    if _NAME_OVERRIDE is not None:
-        return _NAME_OVERRIDE[j]
     if nvars <= 3:
         return "xyz"[j]
     return f"x{j + 1}"

@@ -178,16 +178,6 @@ def test_verify_rings_flag(system_file, capsys):
     assert all(r["slope_floor"] > 0 for r in rings)
 
 
-def test_workers_flag_does_not_change_output(system_file, tmp_path):
-    path = system_file(SPHERE_CUBIC_TEXT)
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    base = ["certify", path, "--samples", "128", "--format", "json"]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_tau_flags_reach_certification(system_file, capsys):
     path = system_file(HALF_DISK_TEXT)
     code, out = _run(
@@ -208,3 +198,34 @@ def test_tau_flags_reach_certification(system_file, capsys):
     assert payload["status"] == "nondegenerate_probable"
     # A single-stage schedule halves the reported sample count per face.
     assert all(f["samples"] == 128 for f in payload["faces"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{path}", "--box", "-3:3"],
+        ["verify", "{path}", "--box", "3:-3,3:-3"],
+        ["verify", "{path}", "--rings", "0,1"],
+        ["verify", "{path}", "--samples", "-5"],
+        ["verify", "{path}", "--samples", "0"],
+        ["certify", "{path}", "--samples", "0"],
+        ["analyze", "{path}", "--out", "{missing}"],
+        ["certify", "{path}", "--workers", "2"],
+    ],
+    ids=[
+        "box-dimension",
+        "box-reversed",
+        "rings-zero",
+        "samples-negative",
+        "samples-zero-verify",
+        "samples-zero-certify",
+        "out-missing-dir",
+        "workers-removed",
+    ],
+)
+def test_bad_input_exits_two_with_error_line(argv, system_file, tmp_path, capsys):
+    path = system_file(HALF_DISK_TEXT)
+    missing = str(tmp_path / "no_such_dir" / "x.json")
+    argv = [a.format(path=path, missing=missing) for a in argv]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import pytest
 from holderbounds.newton import analyze_system
 from holderbounds.nondegen import (
     CertifyConfig,
+    _CompiledMDelta,
     MissingDecompositionError,
     build_m_delta,
     certify_face,
@@ -21,6 +22,9 @@ from holderbounds.nondegen import (
     normalized_minor_objective,
 )
 from holderbounds.polysys import Polynomial, PolySystem, parse_system
+
+from conftest import random_convenient_system
+from minor_oracle import MinorLoopMDelta
 
 FAST = CertifyConfig(samples=512, multistarts=8, descent_iters=80, seed=42)
 
@@ -172,6 +176,48 @@ def test_objective_zero_iff_numerical_rank_drop(degenerate_pair):
         assert (rank < M.p) == bool(normalized[i] < 1e-18)
 
 
+def _random_faces(seeds):
+    """(seed, system, rank-test matrix) for every face of random systems, p <= 3."""
+    for seed in seeds:
+        system = random_convenient_system(random.Random(seed), max_polys=3)
+        for face in analyze_system(system).faces:
+            yield seed, system, build_m_delta(system, face)
+
+
+def test_gram_objective_matches_minor_oracle():
+    # Cauchy-Binet: det(M M^T) equals the sum of squared maximal minors.
+    for seed, system, M in _random_faces(range(25)):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.2, 1.5, size=(64, system.n))
+        X *= rng.choice([-1.0, 1.0], size=X.shape)
+        gram = _CompiledMDelta(M).normalized(X)
+        minors = MinorLoopMDelta(M).normalized(X)
+        assert (gram >= 0).all()
+        np.testing.assert_allclose(gram, minors, rtol=1e-12, atol=0)
+
+
+def test_compiled_matrices_match_exact_entries():
+    for seed, system, M in _random_faces(range(10)):
+        rng = random.Random(seed)
+        for _ in range(3):
+            point = tuple(
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), 10)
+                for _ in range(system.n)
+            )
+            got = _CompiledMDelta(M).matrices(np.array([float(v) for v in point]))[0]
+            magnitude = tuple(abs(v) for v in point)
+            for i, row in enumerate(M.entries):
+                for j, entry in enumerate(row):
+                    # Rounding of x = k/10 and of the sum is relative to the
+                    # absolute-value polynomial, not to the (possibly
+                    # cancelling) exact value.
+                    bound = Polynomial(
+                        {k: abs(c) for k, c in entry.terms.items()}, system.n
+                    ).evaluate(magnitude)
+                    error = abs(got[i, j] - float(entry.evaluate(point)))
+                    assert error <= 1e-12 * float(bound)
+
+
 def test_certify_half_disk_nondegenerate(half_disk):
     verdict = certify_system(half_disk, FAST)
     assert verdict.status == "nondegenerate_probable"
@@ -221,12 +267,6 @@ def test_certify_reproducible_bitwise(degenerate_pair):
     b = certify_system(degenerate_pair, FAST)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(
         b.to_json(), sort_keys=True
-    )
-    threaded = certify_system(
-        degenerate_pair, CertifyConfig(**{**FAST.__dict__, "face_workers": 3})
-    )
-    assert json.dumps(threaded.to_json(), sort_keys=True) == json.dumps(
-        a.to_json(), sort_keys=True
     )
 
 
