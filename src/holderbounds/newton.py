@@ -2,10 +2,13 @@
 
 Everything here is exact: generator points are integer exponent
 vectors, facet normals are primitive integer vectors, and face
-identification uses integer arithmetic only.  Hulls are built by
-brute-force facet search inside the affine hull of the generators,
-which is entirely adequate at the supported scale (a few dozen
-generators, up to eight variables).
+identification uses integer arithmetic only.  Hulls are built inside
+the affine hull of the generators by the double-description method:
+the facets are the extreme rays of the cone of affine functionals that
+are non-negative on every generator, found by adding the generators one
+at a time to the cone of a starting simplex.  The work grows with the
+number of facets met on the way, not with the C(m, k) candidate
+hyperplanes through k of m generators.
 
 Conventions:
 
@@ -23,10 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .polysys import (
     Exponent,
@@ -38,7 +40,6 @@ from .polysys import (
 )
 
 DEFAULT_FACE_CAP = 20000
-_CANDIDATE_CAP = 5_000_000
 
 
 class ZeroPolynomialError(PolynomialError):
@@ -82,12 +83,10 @@ def _int_det(matrix) -> int:
 
 
 def _hyperplane_normal(diffs: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
-    """Integer normal of the hyperplane spanned by k-1 difference vectors in Z^k.
+    """Cofactor normal of the linear hyperplane spanned by k-1 vectors in Z^k (k >= 2).
 
     Returns None when the vectors do not span a hyperplane.
     """
-    if k == 1:
-        return (1,)
     normal = []
     for j in range(k):
         minor = [[row[c] for c in range(k) if c != j] for row in diffs]
@@ -137,13 +136,18 @@ def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 class _AffineFrame:
-    """Affine hull of a point set: base point, integer basis, exact coords."""
+    """Affine hull of a point set: base point, integer basis, exact coords.
+
+    ``simplex`` holds the indices of dim + 1 affinely independent points:
+    the base point and the points whose differences form the basis.
+    """
 
     def __init__(self, points: Sequence[Exponent]):
         self.base = points[0]
         self.basis: list[tuple[int, ...]] = []
+        self.simplex = [0]
         self._reduced: list[tuple[int, list[Fraction]]] = []
-        for u in points[1:]:
+        for index, u in enumerate(points[1:], start=1):
             diff = tuple(a - b for a, b in zip(u, self.base))
             rem = self._remainder(diff)
             pivot = next((j for j, v in enumerate(rem) if v != 0), None)
@@ -151,6 +155,7 @@ class _AffineFrame:
                 inv = 1 / rem[pivot]
                 self._reduced.append((pivot, [v * inv for v in rem]))
                 self.basis.append(diff)
+                self.simplex.append(index)
         self.dim = len(self.basis)
         self._gram = [
             [sum(a * b for a, b in zip(r1, r2)) for r2 in self.basis]
@@ -193,66 +198,45 @@ class _AffineFrame:
 # -- hull and face machinery ------------------------------------------------------
 
 
-def _enumerate_coord_facets(coords: list[tuple[int, ...]], k: int):
-    """All facets of conv(coords) in Z^k: list of (coord normal, equality mask)."""
-    m = len(coords)
-    if k == 1:
-        vals = [c[0] for c in coords]
-        lo, hi = min(vals), max(vals)
-        lo_mask = sum(1 << i for i, v in enumerate(vals) if v == lo)
-        hi_mask = sum(1 << i for i, v in enumerate(vals) if v == hi)
-        return [((1,), lo_mask), ((-1,), hi_mask)]
+def _hull_coord_facets(coords: list[tuple[int, ...]], k: int, simplex: Sequence[int]):
+    """Facets of the full-dimensional conv(coords) in Z^k, by double description.
 
-    if comb(m, k) > _CANDIDATE_CAP:
-        raise FaceEnumerationError(
-            f"facet search over C({m},{k}) candidate hyperplanes exceeds the cap"
-        )
-
-    use_numpy = _coords_fit_int64(coords, k)
-    pts_np = np.asarray(coords, dtype=np.int64) if use_numpy else None
-
-    facets: list[tuple[tuple[int, ...], int]] = []
-    facet_masks: list[int] = []
-    for combo in itertools.combinations(range(m), k):
-        combo_mask = sum(1 << i for i in combo)
-        if any(combo_mask & fm == combo_mask for fm in facet_masks):
-            continue
-        base = coords[combo[0]]
-        diffs = [
-            [coords[i][j] - base[j] for j in range(k)] for i in combo[1:]
-        ]
-        w = _hyperplane_normal(diffs, k)
-        if w is None:
-            continue
-        if use_numpy:
-            s = pts_np @ np.asarray(w, dtype=np.int64)
-            s = s - int(np.dot(base, w))
-            smin, smax = int(s.min()), int(s.max())
-        else:
-            offs = sum(b * wv for b, wv in zip(base, w))
-            svals = [sum(c * wv for c, wv in zip(pt, w)) - offs for pt in coords]
-            smin, smax = min(svals), max(svals)
-        if smin == 0:
-            normal = w
-        elif smax == 0:
-            normal = tuple(-v for v in w)
-        else:
-            continue
-        if use_numpy:
-            sel = s == (smin if smin == 0 else smax)
-            eq_mask = sum(1 << int(i) for i in np.flatnonzero(sel))
-        else:
-            target = smin if smin == 0 else smax
-            eq_mask = sum(1 << i for i, v in enumerate(svals) if v == target)
-        facets.append((normal, eq_mask))
-        facet_masks.append(eq_mask)
-    return facets
+    A facet ``<w, y> >= c`` is an extreme ray h = (w, -c) of the cone
+    {h : <h, (y, 1)> >= 0 for every point y}.  The rays start as the
+    cofactor normals of the simplex on the k + 1 affinely independent
+    points ``simplex``; the other points are then added one at a time
+    (Fukuda & Prodon, "Double description method revisited", 1996).  A
+    point keeps the rays on its non-negative side and joins each pair of
+    rays on opposite sides that are adjacent: their common tight set has
+    at least k - 1 points and no third ray is tight on all of it.
+    Returns (coordinate normal, equality mask) pairs.
+    """
+    rows = [(*y, 1) for y in coords]
+    rays = []
+    for j in simplex:
+        h = _hyperplane_normal([rows[i] for i in simplex if i != j], k + 1)
+        sign = 1 if _dot(h, rows[j]) > 0 else -1
+        rays.append(([sign * v for v in h], sum(1 << i for i in simplex if i != j)))
+    for i in sorted(set(range(len(rows))).difference(simplex)):
+        bit = 1 << i
+        signed = [(h, tight, _dot(h, rows[i])) for h, tight in rays]
+        rays = [(h, tight | bit if s == 0 else tight) for h, tight, s in signed if s >= 0]
+        masks = [tight for _, tight, _ in signed]
+        for hn, zn, sn in (ray for ray in signed if ray[2] < 0):
+            for hp, zp, sp in (ray for ray in signed if ray[2] > 0):
+                common = zp & zn
+                if common.bit_count() < k - 1:
+                    continue
+                if sum(z & common == common for z in masks) > 2:
+                    continue
+                h = [sp * b - sn * a for a, b in zip(hp, hn)]
+                g = gcd(*h)
+                rays.append(([v // g for v in h], common | bit))
+    return [(h[:k], tight) for h, tight in rays]
 
 
-def _coords_fit_int64(coords, k) -> bool:
-    big = max((abs(v) for pt in coords for v in pt), default=0)
-    bound = factorial(k - 1) * (2 * big) ** (k - 1) * big * k if big else 0
-    return bound < 2**62
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -313,7 +297,7 @@ def _build_polytope(
         )
 
     coords = frame.coordinates(pts)
-    coord_facets = _enumerate_coord_facets(coords, k)
+    coord_facets = _hull_coord_facets(coords, k, frame.simplex)
 
     facets = []
     for w, eq_mask in coord_facets:
@@ -329,6 +313,8 @@ def _build_polytope(
         if mask != eq_mask:
             raise RuntimeError("facet lift mismatch; exact arithmetic invariant broken")
         facets.append((normal, offset, eq_mask))
+    # Canonical order, independent of the order the hull inserted points.
+    facets.sort()
 
     # Proper faces: closure of facet equality sets under intersection.
     masks = {eq for _, _, eq in facets}
@@ -503,19 +489,23 @@ def faces_at_infinity(polytope: NewtonPolytope) -> tuple[FaceAtInfinity, ...]:
 def decompose_face(
     face: FaceAtInfinity, polytopes: Sequence[NewtonPolytope]
 ) -> tuple[tuple[Exponent, ...], ...]:
-    """Split a face of a Minkowski sum into its unique summand faces.
+    """Split a face F of P = P_1 + ... + P_p into its unique summand faces.
 
-    Uses the face's witness direction: the i-th component face is the
-    set of generators of the i-th polytope minimizing that direction.
-    The result does not depend on which relative-interior witness is
-    used, which is checked structurally: the component faces must sum
-    back to the given face.
+    Uses the face's witness direction q: the i-th component face is the
+    set of generators of P_i minimizing q.  The result is checked
+    exactly, without building a hull: F must lie on the hyperplane
+    where q attains its minimum over P, every vertex of F must be a sum
+    of component-face points, and every such sum must lie in aff(F).
+    That suffices: each sum is a point of P on the minimizing hyperplane,
+    so a sum inside aff(F) lies in P ∩ aff(F) = F (F is a face of P);
+    the sums then span a polytope inside F that contains every vertex of
+    F, which is F itself.
     """
     q = face.witness_normal
     parts = [min_face(p, q) for p in polytopes]
-    total = sum((min_support(p, q) for p in polytopes), Fraction(0))
+    total = sum(_dot(q, part[0]) for part in parts)
     for kappa in face.support_points:
-        if sum(Fraction(a) * b for a, b in zip(q, kappa)) != total:
+        if _dot(q, kappa) != total:
             raise DecompositionError(
                 "witness normal does not support the face on the summed polytope"
             )
@@ -523,9 +513,8 @@ def decompose_face(
         tuple(sum(c) for c in zip(*combo))
         for combo in itertools.product(*parts)
     }
-    recombined = _build_polytope(sums, len(q))
-    original = _build_polytope(face.support_points, len(q))
-    if set(recombined.vertices) != set(original.vertices):
+    frame = _AffineFrame(face.support_points)
+    if not sums.issuperset(face.vertices) or not all(map(frame.spans, sums)):
         raise DecompositionError("component faces do not sum back to the face")
     return tuple(parts)
 

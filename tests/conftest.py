@@ -53,7 +53,11 @@ def random_convenient_system(
     max_extra_terms: int = 2,
     max_degree: int = 4,
 ) -> PolySystem:
-    """Random system whose components all carry a pure power of each variable."""
+    """Random system whose components all carry a pure power of each variable.
+
+    An extra term drawn with coefficient 0 is dropped, except that it never
+    deletes a pure power; the random draws are the same either way.
+    """
     n = rng.randint(2, max_vars)
     p = rng.randint(1, max_polys)
     polys = []
@@ -63,10 +67,13 @@ def random_convenient_system(
             kappa = [0] * n
             kappa[j] = rng.randint(1, max_degree)
             terms[tuple(kappa)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        pure_powers = set(terms)
         for _ in range(rng.randint(0, max_extra_terms)):
             kappa = tuple(rng.randint(0, 2) for _ in range(n))
             if sum(kappa) > max_degree:
                 continue
-            terms[kappa] = Fraction(rng.randint(-3, 3))
+            coeff = Fraction(rng.randint(-3, 3))
+            if coeff or kappa not in pure_powers:
+                terms[kappa] = coeff
         polys.append(Polynomial({k: c for k, c in terms.items() if c != 0}, n))
     return PolySystem.from_polynomials(polys)

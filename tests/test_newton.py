@@ -90,6 +90,26 @@ def test_is_convenient_matches_geometric_axis_test():
             assert axis_hit == (report.pure_power_degrees[j] is not None)
 
 
+def test_random_convenient_system_is_convenient():
+    for seed in range(200):
+        for max_polys in (1, 2, 3):
+            system = random_convenient_system(random.Random(seed), max_polys=max_polys)
+            convenient = [is_convenient(f).convenient for f in system.polys]
+            assert all(convenient), (seed, max_polys)
+
+
+def test_random_convenient_system_keeps_its_draws():
+    # At seed 5, f2 draws an extra term x3^2 with coefficient 0: the pure
+    # power -3*x3^2 stays, and every other term follows the same draws.
+    system = random_convenient_system(
+        random.Random(5), max_vars=5, max_polys=2, max_extra_terms=6, max_degree=4
+    )
+    assert system.to_text() == (
+        "f1 = x2*x3^2 + 3*x1*x3 + 3*x2^2 + x1 - 2*x3 - x4\n"
+        "f2 = -2*x2^4 - 2*x1*x3*x4 - x2*x4 - 3*x3^2 - 2*x1 - x4"
+    )
+
+
 def test_minkowski_sum_half_disk(half_disk):
     parts = [newton_polytope(f) for f in half_disk.polys]
     total = minkowski_sum(parts)
