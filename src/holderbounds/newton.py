@@ -35,6 +35,7 @@ from .polysys import (
     Polynomial,
     PolynomialError,
     PolySystem,
+    Rational,
     grlex_key,
     rational_str,
 )
@@ -425,22 +426,18 @@ def minkowski_sum(
     return current
 
 
-def min_support(polytope: NewtonPolytope, q: Sequence) -> Fraction:
+def min_support(polytope: NewtonPolytope, q: Sequence) -> Rational:
     """Support value d(q, P) = min over P of <q, kappa> (exact)."""
-    return min(
-        sum(Fraction(a) * b for a, b in zip(q, p)) for p in polytope.points
-    )
+    q = [a if isinstance(a, int) else Fraction(a) for a in q]
+    return min(_dot(q, p) for p in polytope.points)
 
 
 def min_face(polytope: NewtonPolytope, q: Sequence) -> tuple[Exponent, ...]:
     """Generator points of the face of P selected by the direction q."""
-    values = [
-        sum(Fraction(a) * b for a, b in zip(q, p)) for p in polytope.points
-    ]
+    q = [a if isinstance(a, int) else Fraction(a) for a in q]
+    values = [_dot(q, p) for p in polytope.points]
     low = min(values)
-    return tuple(
-        p for p, v in zip(polytope.points, values) if v == low
-    )
+    return tuple(p for p, v in zip(polytope.points, values) if v == low)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .newton import FaceAtInfinity, SystemGeometry, _row_reduce, analyze_system
-from .polysys import Exponent, Polynomial, PolySystem, principal_part, rational_str
+from .polysys import Exponent, Polynomial, PolySystem, _CompiledMap, principal_part, rational_str
 
 
 class MissingDecompositionError(ValueError):
@@ -106,23 +106,19 @@ class _CompiledMDelta:
     """Vectorised float evaluation of the matrix and its minor objective.
 
     Every entry of row i lives on supp(f_i_face), so row i is one
-    monomial table ``T_i`` (x^kappa over the sorted support) times one
-    coefficient matrix ``C_i`` whose n + 1 columns are the Euler terms
-    kappa_j * c_kappa followed by c_kappa.
+    compiled map over its nonzero entries: the Euler terms
+    x_j * d f_i_face / d x_j followed by f_i_face, all evaluated from one
+    monomial table over the sorted support.
     """
 
     def __init__(self, matrix: MDeltaMatrix):
         self.n = matrix.n
         self.p = matrix.p
-        self.rows = []
-        self.zero_row = False
-        for i, row in enumerate(matrix.entries):
-            terms = row[matrix.n + i].terms
-            self.zero_row |= not terms
-            support = sorted(terms)
-            exps = np.array(support, dtype=np.int64).reshape(-1, self.n)
-            coeffs = [[float(k * terms[e]) for k in e] + [float(terms[e])] for e in support]
-            self.rows.append((exps, np.array(coeffs).reshape(-1, self.n + 1)))
+        self.rows = [
+            _CompiledMap(row[: self.n] + (row[self.n + i],), self.n)
+            for i, row in enumerate(matrix.entries)
+        ]
+        self.zero_row = any(row.exps.shape[0] == 0 for row in self.rows)
 
     def _evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matrices at X and the squared product of the row gauges.
@@ -139,9 +135,9 @@ class _CompiledMDelta:
         n = self.n
         mats = np.zeros((X.shape[0], self.p, n + self.p))
         scale = np.ones(X.shape[0])
-        for i, (exps, coeffs) in enumerate(self.rows):
-            table = (X[:, None, :] ** exps[None, :, :]).prod(axis=2)
-            values = table @ coeffs
+        for i, row in enumerate(self.rows):
+            table = row.table(X)
+            values = table @ row.coeffs
             mats[:, i, :n] = values[:, :n]
             mats[:, i, n + i] = values[:, n]
             scale *= np.abs(table).sum(axis=1) ** 2
@@ -274,6 +270,8 @@ def _descend(comp: _CompiledMDelta, starts: np.ndarray, tau_axis: float, iters: 
         best = cand.min(axis=1)
         arg = cand.argmin(axis=1)
         improved = best < vals
+        if not improved.any() and (steps == 1e-12).all():
+            break  # a fixed point: every later iteration repeats these proposals
         X[improved] = proposals[improved, arg[improved]]
         vals = np.where(improved, best, vals)
         steps = np.where(improved, steps * 1.4, steps * 0.6)

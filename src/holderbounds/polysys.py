@@ -4,7 +4,10 @@ A polynomial is a finite map from exponent vectors (one non-negative
 integer per variable) to nonzero Fraction coefficients.  All symbolic
 work -- parsing, arithmetic, differentiation, support extraction -- is
 exact; floating point enters only when a polynomial is evaluated at a
-float point.
+float point.  Float evaluation of many points goes through one compiled
+map: several polynomials over the sorted union of their supports, an
+integer exponent matrix plus a float coefficient matrix with one column
+per polynomial, so one monomial table serves every column.
 
 The textual input format is line based, one definition per line::
 
@@ -24,6 +27,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 Exponent = tuple[int, ...]
 Rational = int | Fraction
@@ -535,6 +540,42 @@ def gradient(f: Polynomial, point: Sequence) -> tuple:
             f"point of length {len(point)} for {f.nvars} variables"
         )
     return tuple(f.partial(j).evaluate(point) for j in range(f.nvars))
+
+
+class _CompiledMap:
+    """Float evaluation of several polynomials over one sorted union support.
+
+    Row k of ``exps`` is the k-th monomial of the union and ``coeffs[k, i]``
+    its coefficient in polynomial i (0.0 where i lacks it).
+    """
+
+    def __init__(self, polys: Sequence[Polynomial], nvars: int):
+        support = sorted(set().union(*(f.terms for f in polys)))
+        self.nvars = nvars
+        self.exps = np.array(support, dtype=np.int64).reshape(-1, nvars)
+        self.coeffs = np.array(
+            [[float(f.terms.get(e, 0)) for f in polys] for e in support]
+        ).reshape(-1, len(polys))
+
+    def _points(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1] != self.nvars:
+            raise ValueError(
+                f"points of length {X.shape[-1]} for a {self.nvars}-variable system"
+            )
+        return X
+
+    def table(self, X) -> np.ndarray:
+        """x^kappa for every row x of X and every kappa of the support."""
+        X = np.atleast_2d(self._points(X))
+        return (X[:, None, :] ** self.exps[None, :, :]).prod(axis=2)
+
+    def __call__(self, X) -> np.ndarray:
+        return self.table(X) @ self.coeffs
+
+    def one(self, x) -> np.ndarray:
+        """All polynomials at one point (no batch axis)."""
+        return (self._points(x) ** self.exps).prod(axis=1) @ self.coeffs
 
 
 def principal_part(f: Polynomial, face_support: Iterable[Exponent]) -> Polynomial:

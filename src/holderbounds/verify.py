@@ -11,8 +11,10 @@ max function, then fits the best empirical constant ``c`` in
 Distances to a semialgebraic set are NP-hard in general, so the oracle
 is an upper-bound estimator: multistart local projection seeded from a
 feasibility grid, with a penalty-continuation fallback and a Gauss-Newton
-feasibility polish.  Upper bounds make every fitted constant conservative
-in the safe direction (ratios can only shrink).
+feasibility polish, plus the Gauss-Newton projection of the query itself.
+Upper bounds make every fitted constant conservative in the safe
+direction (ratios can only shrink).  Components and their partials are
+evaluated together through one compiled map (``polysys._CompiledMap``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy import optimize
 
 from .bounds import ExponentReport
-from .polysys import PolySystem, rational_str
+from .polysys import PolySystem, _CompiledMap, rational_str
 
 
 class FeasibleSetEmptyError(RuntimeError):
@@ -37,63 +39,36 @@ class FeasibleSetEmptyError(RuntimeError):
 
 
 class _CompiledSystem:
-    """Batched float evaluation of components and their gradients."""
+    """Values and Jacobian of a system from one compiled map.
+
+    The map's columns are f_1..f_p followed by the partials d f_i / d x_j
+    (row-major in i), so both come from one monomial table in one pass.
+    """
 
     def __init__(self, system: PolySystem):
-        self.system = system
-        self.n = system.n
-        self.p = system.p
-        self._values = [self._compile(f.terms) for f in system.polys]
-        self._grads = [
-            [self._compile(f.partial(j).terms) for j in range(self.n)]
-            for f in system.polys
-        ]
+        self.n, self.p = system.n, system.p
+        partials = [f.partial(j) for f in system.polys for j in range(self.n)]
+        self._map = _CompiledMap(list(system.polys) + partials, self.n)
 
-    @staticmethod
-    def _compile(terms):
-        if not terms:
-            return None
-        exps = np.array(sorted(terms), dtype=np.int64)
-        coeffs = np.array([float(terms[tuple(e)]) for e in exps])
-        return exps, coeffs
+    def _split(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        jac = out[..., self.p :].reshape(out.shape[:-1] + (self.p, self.n))
+        return out[..., : self.p], jac
 
-    def _eval(self, compiled, X):
-        if compiled is None:
-            return np.zeros(X.shape[0])
-        exps, coeffs = compiled
-        return (X[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+    def __call__(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Values (m, p) and Jacobians (m, p, n) at the rows of X."""
+        return self._split(self._map(X))
 
-    def _check(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n:
-            raise ValueError(
-                f"points of length {X.shape[1]} for a {self.n}-variable system"
-            )
-        return X
-
-    def values(self, X) -> np.ndarray:
-        X = self._check(X)
-        return np.stack([self._eval(c, X) for c in self._values], axis=1)
-
-    def grads(self, X) -> np.ndarray:
-        X = self._check(X)
-        out = np.zeros((X.shape[0], self.p, self.n))
-        for i in range(self.p):
-            for j in range(self.n):
-                out[:, i, j] = self._eval(self._grads[i][j], X)
-        return out
+    def one(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Values (p,) and Jacobian (p, n) at one point."""
+        return self._split(self._map.one(x))
 
     def values_one(self, x) -> np.ndarray:
-        return self.values(np.asarray(x, dtype=float)[None, :])[0]
-
-    def grads_one(self, x) -> np.ndarray:
-        return self.grads(np.asarray(x, dtype=float)[None, :])[0]
+        return self.one(x)[0]
 
 
 def residual(system: PolySystem, x) -> float:
     """Constraint violation [f(x)]_+ = max(0, max_i f_i(x))."""
-    values = _CompiledSystem(system).values_one(x)
-    return float(max(0.0, values.max()))
+    return float(max(0.0, _CompiledSystem(system).values_one(x).max()))
 
 
 # -- distance oracle ---------------------------------------------------------------
@@ -126,8 +101,11 @@ class DistanceOracle:
     A feasibility pre-pass collects a pool of (near-)feasible anchor
     points; each query runs local projections seeded from the anchors
     nearest the query, falling back to penalty continuation when the
-    projector fails.  Certificates are polished until every component is
-    below ``tau_feas``.  More budget can only tighten the answer.
+    projector fails.  The query's own Gauss-Newton projection is tried
+    too, since which basin a projection from an anchor lands in can turn
+    on the last bits of a sum.  A candidate counts only if every
+    component is below ``tau_feas`` at it.  More budget can only tighten
+    the answer.
     """
 
     def __init__(self, system: PolySystem, cfg: DistanceConfig | None = None):
@@ -139,25 +117,20 @@ class DistanceOracle:
     # feasibility ------------------------------------------------------------
 
     def _violation(self, x):
-        v = np.maximum(self.comp.values_one(x), 0.0)
-        return float((v**2).sum())
-
-    def _violation_grad(self, x):
-        values = self.comp.values_one(x)
-        grads = self.comp.grads_one(x)
+        """Squared positive part of f at x and its gradient."""
+        values, jac = self.comp.one(x)
         pos = np.maximum(values, 0.0)
-        return 2.0 * pos @ grads
+        return float((pos**2).sum()), 2.0 * pos @ jac
 
     def _polish(self, x):
         """Gauss-Newton push onto the feasible side."""
         x = np.asarray(x, dtype=float).copy()
         for _ in range(self.cfg.polish_iters):
-            values = self.comp.values_one(x)
+            values, jac = self.comp.one(x)
             active = values > self.cfg.tau_feas * 0.1
             if not active.any():
                 break
-            J = self.comp.grads_one(x)[active]
-            r = values[active]
+            J, r = jac[active], values[active]
             if np.linalg.norm(J) < 1e-12:
                 break
             step, *_ = np.linalg.lstsq(J, r, rcond=None)
@@ -176,7 +149,7 @@ class DistanceOracle:
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         draws = rng.uniform(lo, hi, size=(cfg.grid_points, n))
-        scores = np.array([self._violation(x) for x in draws])
+        scores = (np.maximum(self.comp(draws)[0], 0.0) ** 2).sum(axis=1)
         order = np.argsort(scores)
         found = []
         for point in cfg.known_feasible or ():
@@ -189,7 +162,7 @@ class DistanceOracle:
                 res = optimize.minimize(
                     self._violation,
                     start,
-                    jac=self._violation_grad,
+                    jac=True,
                     method="L-BFGS-B",
                     options={"maxiter": 200},
                 )
@@ -212,20 +185,17 @@ class DistanceOracle:
     def _project_slsqp(self, x, start):
         def objective(a):
             d = a - x
-            return float(d @ d)
-
-        def objective_grad(a):
-            return 2.0 * (a - x)
+            return float(d @ d), 2.0 * d
 
         constraints = {
             "type": "ineq",
             "fun": lambda a: -self.comp.values_one(a),
-            "jac": lambda a: -self.comp.grads_one(a),
+            "jac": lambda a: -self.comp.one(a)[1],
         }
         res = optimize.minimize(
             objective,
             start,
-            jac=objective_grad,
+            jac=True,
             method="SLSQP",
             constraints=[constraints],
             options={"maxiter": 200, "ftol": 1e-14},
@@ -238,17 +208,12 @@ class DistanceOracle:
 
             def objective(v):
                 d = v - x
-                pos = np.maximum(self.comp.values_one(v), 0.0)
-                return float(d @ d + mu * (pos**2).sum())
-
-            def objective_grad(v):
-                values = self.comp.values_one(v)
-                grads = self.comp.grads_one(v)
+                values, jac = self.comp.one(v)
                 pos = np.maximum(values, 0.0)
-                return 2.0 * (v - x) + 2.0 * mu * pos @ grads
+                return float(d @ d + mu * (pos**2).sum()), 2.0 * d + 2.0 * mu * pos @ jac
 
             res = optimize.minimize(
-                objective, a, jac=objective_grad, method="L-BFGS-B",
+                objective, a, jac=True, method="L-BFGS-B",
                 options={"maxiter": 150},
             )
             a = res.x
@@ -262,13 +227,9 @@ class DistanceOracle:
             return DistanceResult(0.0, tuple(float(v) for v in x), float(values.max()))
 
         pool = self.feasible_pool()
-        order = np.argsort(np.linalg.norm(pool - x, axis=1))
-        best_d = np.inf
-        best_a = None
-        for a in pool:
-            d = float(np.linalg.norm(a - x))
-            if d < best_d:
-                best_d, best_a = d, a
+        dists = np.linalg.norm(pool - x, axis=1)
+        order = np.argsort(dists)
+        best_d, best_a = float(dists.min()), pool[int(dists.argmin())]
 
         stalls = 0
         for rank in order[: cfg.multistarts]:
@@ -287,6 +248,10 @@ class DistanceOracle:
             stalls = 0 if improved else stalls + 1
             if stalls >= cfg.stall_limit:
                 break
+        own = self._polish(x)
+        d = float(np.linalg.norm(own - x))
+        if d < best_d and self.comp.values_one(own).max() <= cfg.tau_feas:
+            best_d, best_a = d, own
         return DistanceResult(
             best_d,
             tuple(float(v) for v in best_a),
@@ -376,10 +341,8 @@ def slope(system: PolySystem, x, tau_active: float | None = None) -> SlopeResult
     are resolved with a relative tolerance because exact float ties do
     not happen.
     """
-    comp = _CompiledSystem(system)
-    return _slope_from_data(
-        comp.values_one(x), comp.grads_one(x), system.p, tau_active
-    )
+    values, jac = _CompiledSystem(system).one(x)
+    return _slope_from_data(values, jac, system.p, tau_active)
 
 
 def _slope_from_data(values, grads, p, tau_active=None) -> SlopeResult:
@@ -502,8 +465,7 @@ class GoodnessReport:
 
 
 def _ring_slopes(comp, X, p):
-    values = comp.values(X)
-    grads = comp.grads(X)
+    values, grads = comp(X)
     fmax = values.max(axis=1)
     mask = fmax > 0
     slopes = np.full(X.shape[0], np.nan)
@@ -549,10 +511,10 @@ def probe_goodness(
             if norm < 1e-9:
                 return np.inf
             point = radius * u / norm
-            values = comp.values_one(point)
+            values, jac = comp.one(point)
             if values.max() <= 0:
                 return np.inf
-            return _slope_from_data(values, comp.grads_one(point), p).value
+            return _slope_from_data(values, jac, p).value
 
         order = np.argsort(np.where(np.isnan(slopes), np.inf, slopes))
         for start in order[:refine_starts]:
@@ -673,8 +635,7 @@ def verify_bound(
         X = base
 
     alpha = float(report.alpha)
-    values = comp.values(X)
-    grads = comp.grads(X)
+    values, grads = comp(X)
     records = []
     violations = 0
     fitted = None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,11 @@ HALF_DISK_TEXT = "f1 = x + y\nf2 = x^2 + y^2 - 1"
 SPHERE_CUBIC_TEXT = "f1 = x^2 + y^2 + z^2\nf2 = x + y + z^3"
 DEGENERATE_PAIR_TEXT = "f1 = x^2 - y^2\nf2 = x - y"
 DEGENERATE_PAIR_PERTURBED_TEXT = "f1 = x^2 - y^2\nf2 = x - y + 1/10*x"
+
+# The fixture files under demos/systems.
+DEMO_SYSTEMS = sorted(
+    (Path(__file__).resolve().parent.parent / "demos" / "systems").glob("*.poly")
+)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,8 @@ from holderbounds.nondegen import (
     CertifyConfig,
     _CompiledMDelta,
     MissingDecompositionError,
+    _descend,
+    _project_torus,
     build_m_delta,
     certify_face,
     certify_system,
@@ -23,7 +25,7 @@ from holderbounds.nondegen import (
 )
 from holderbounds.polysys import Polynomial, PolySystem, parse_system
 
-from conftest import random_convenient_system
+from conftest import DEMO_SYSTEMS, random_convenient_system
 from minor_oracle import MinorLoopMDelta
 
 FAST = CertifyConfig(samples=512, multistarts=8, descent_iters=80, seed=42)
@@ -216,6 +218,57 @@ def test_compiled_matrices_match_exact_entries():
                     ).evaluate(magnitude)
                     error = abs(got[i, j] - float(entry.evaluate(point)))
                     assert error <= 1e-12 * float(bound)
+
+
+def _descend_every_iteration(comp, starts, tau_axis, iters):
+    """``nondegen._descend`` as it was before its fixed-point exit.
+
+    Also returns the first iteration at which no row improved with every
+    step at the floor (``iters`` if that never happened).
+    """
+    X = _project_torus(starts.copy(), tau_axis)
+    vals = comp.normalized(X)
+    steps = np.full(X.shape[0], 0.25)
+    n = comp.n
+    fixed_at = iters
+    for it in range(iters):
+        batch, _ = X.shape
+        proposals = np.repeat(X[:, None, :], 2 * n, axis=1)
+        for j in range(n):
+            proposals[:, 2 * j, j] += steps
+            proposals[:, 2 * j + 1, j] -= steps
+        proposals = _project_torus(proposals, tau_axis)
+        cand = comp.normalized(proposals.reshape(-1, n)).reshape(batch, 2 * n)
+        best = cand.min(axis=1)
+        arg = cand.argmin(axis=1)
+        improved = best < vals
+        if fixed_at == iters and not improved.any() and (steps == 1e-12).all():
+            fixed_at = it
+        X[improved] = proposals[improved, arg[improved]]
+        vals = np.where(improved, best, vals)
+        steps = np.where(improved, steps * 1.4, steps * 0.6)
+        steps = np.maximum(steps, 1e-12)
+    return X, vals, fixed_at
+
+
+def test_descend_exit_matches_full_descent():
+    systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS]
+    systems += [random_convenient_system(random.Random(seed), max_polys=3) for seed in range(1, 5)]
+    iters = 200
+    early = 0
+    for index, system in enumerate(systems):
+        for face in analyze_system(system).faces:
+            comp = _CompiledMDelta(build_m_delta(system, face))
+            rng = np.random.default_rng(index)
+            starts = rng.uniform(-1.0, 1.0, size=(8, system.n))
+            for tau_axis in (1e-1, 1e-3):
+                X, vals = _descend(comp, starts, tau_axis, iters)
+                X_full, vals_full, fixed_at = _descend_every_iteration(comp, starts, tau_axis, iters)
+                np.testing.assert_array_equal(X, X_full)
+                np.testing.assert_array_equal(vals, vals_full)
+                early += fixed_at < iters
+    # The exit must actually be taken for the comparison to mean anything.
+    assert early > 0
 
 
 def test_certify_half_disk_nondegenerate(half_disk):

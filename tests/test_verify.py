@@ -21,7 +21,7 @@ from holderbounds.verify import (
     verify_bound,
 )
 
-from conftest import partition_system
+from conftest import DEMO_SYSTEMS, partition_system
 
 BOX2 = ((-3.0, 3.0), (-3.0, 3.0))
 LIGHT = DistanceConfig(multistarts=6, grid_points=128, search_box=BOX2)
@@ -71,6 +71,21 @@ def test_distance_monotone_in_budget(half_disk):
     large = DistanceOracle(half_disk, replace(LIGHT, multistarts=12))
     for x in points:
         assert large.distance(x).distance <= small.distance(x).distance + 1e-9
+
+
+@pytest.mark.parametrize("path", DEMO_SYSTEMS, ids=lambda path: path.stem)
+def test_distance_results_carry_feasible_certificates(path):
+    # The oracle returns upper bounds only: every distance is the length
+    # to a certificate at which no component exceeds tau_feas.
+    system = parse_system(path.read_text())
+    box = tuple((-3.0, 3.0) for _ in range(system.n))
+    oracle = DistanceOracle(system, replace(LIGHT, search_box=box))
+    for x in np.random.default_rng(5).uniform(-3, 3, size=(8, system.n)):
+        out = oracle.distance(x)
+        certificate = np.array(out.certificate)
+        assert out.max_violation <= oracle.cfg.tau_feas
+        assert max(f.evaluate(out.certificate) for f in system.polys) <= oracle.cfg.tau_feas
+        assert out.distance == pytest.approx(np.linalg.norm(certificate - x), rel=1e-12, abs=0)
 
 
 def test_distance_empty_feasible_set():
