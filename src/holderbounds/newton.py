@@ -98,8 +98,13 @@ def _hyperplane_normal(diffs: Sequence[Sequence[int]], k: int) -> tuple[int, ...
 
 
 def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact Gauss-Jordan elimination; returns (reduced rows, pivot columns)."""
-    a = [[Fraction(v) for v in row] for row in rows]
+    """Exact Gauss-Jordan elimination; returns (reduced rows, pivot columns).
+
+    Elimination is fraction-free (row <- pivot * row - factor * pivot row),
+    so integers stay integers until the pivot rows are scaled to a leading
+    1 at the end; other values are made exact ``Fraction``s first.
+    """
+    a = [[v if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
     pivots: list[int] = []
     for col in range(len(a[0]) if a else 0):
         top = len(pivots)
@@ -109,14 +114,14 @@ def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         a[top], a[pivot] = a[pivot], a[top]
-        inv = 1 / a[top][col]
-        a[top] = [v * inv for v in a[top]]
+        head = a[top][col]
         for r in range(len(a)):
             if r != top and a[r][col] != 0:
                 factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[top])]
+                a[r] = [head * v - factor * w for v, w in zip(a[r], a[top])]
         pivots.append(col)
-    return a, pivots
+    heads = [a[r][col] for r, col in enumerate(pivots)] + [1] * (len(a) - len(pivots))
+    return [[Fraction(v) / h for v in row] for row, h in zip(a, heads)], pivots
 
 
 def _solve_fraction(matrix, rhs) -> list[Fraction]:
@@ -274,10 +279,6 @@ class NewtonPolytope:
         )
 
 
-def _affine_rank(points: Sequence[Exponent]) -> int:
-    return _AffineFrame(list(points)).dim if points else 0
-
-
 def _build_polytope(
     generators: Iterable[Exponent], nvars: int, face_cap: int = DEFAULT_FACE_CAP
 ) -> NewtonPolytope:
@@ -349,7 +350,9 @@ def _build_polytope(
                 support=support,
                 witness=witness,
                 value=value,
-                dim=_affine_rank(support),
+                # The facets through a face of a k-polytope have normals
+                # of rank k - dim(face).
+                dim=k - len(_row_reduce([normal for normal, _, _ in active])[1]),
             )
         )
     proper.sort(key=lambda f: (f.dim, tuple(sorted(f.support, key=grlex_key))))

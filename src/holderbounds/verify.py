@@ -187,10 +187,21 @@ class DistanceOracle:
             d = a - x
             return float(d @ d), 2.0 * d
 
+        # SLSQP asks for the values and then the Jacobian at the same
+        # iterate; one compiled-map call serves both.
+        last: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+        def at(a):
+            key = a.tobytes()
+            if key not in last:
+                last.clear()
+                last[key] = self.comp.one(a)
+            return last[key]
+
         constraints = {
             "type": "ineq",
-            "fun": lambda a: -self.comp.values_one(a),
-            "jac": lambda a: -self.comp.one(a)[1],
+            "fun": lambda a: -at(a)[0],
+            "jac": lambda a: -at(a)[1],
         }
         res = optimize.minimize(
             objective,

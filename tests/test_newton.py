@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from holderbounds.newton import (
+    _AffineFrame,
+    _row_reduce,
     DecompositionError,
     FaceEnumerationError,
     ZeroPolynomialError,
@@ -22,7 +24,7 @@ from holderbounds.newton import (
 )
 from holderbounds.polysys import Polynomial, PolynomialError, parse_system
 
-from conftest import random_convenient_system
+from conftest import DEMO_SYSTEMS, random_convenient_system
 
 
 def _poly(text: str) -> Polynomial:
@@ -314,6 +316,62 @@ def test_polytope_invariants_random():
             assert set(rebuilt.vertices) == set(P.vertices)
             for point in P.points:
                 assert rebuilt.contains(point)
+
+
+def _row_reduce_by_division(rows):
+    """``newton._row_reduce`` before it went fraction-free: Gauss-Jordan on
+    ``Fraction``s, each pivot row scaled to a leading 1 before it is used."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        if top == len(a):
+            break
+        pivot = next((r for r in range(top, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[top], a[pivot] = a[pivot], a[top]
+        inv = 1 / a[top][col]
+        a[top] = [v * inv for v in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[top])]
+        pivots.append(col)
+    return a, pivots
+
+
+def test_row_reduce_matches_division_oracle():
+    rng = random.Random(3)
+    draws = {
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        "float": lambda: rng.choice([0.0, rng.uniform(-2, 2)]),
+    }
+    for _ in range(400):
+        draw = draws[rng.choice(list(draws))]
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        rows = [[draw() for _ in range(n)] for _ in range(m)]
+        if m >= 3 and rng.random() < 0.5:
+            # A dependent row: the elimination must find the rank drop.
+            rows[-1] = [2 * u - v for u, v in zip(rows[0], rows[1])]
+        got = _row_reduce(rows)
+        assert got == _row_reduce_by_division(rows)
+        assert all(type(v) is Fraction for row in got[0] for v in row)
+
+
+def test_face_dims_match_affine_rank():
+    # A face's dimension comes from the rank of its facets' normals; the
+    # affine rank of its support is the independent reference.
+    systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS]
+    systems += [random_convenient_system(random.Random(seed), max_polys=3) for seed in range(20)]
+    # Polytopes of lower dimension than their ambient space.
+    systems += [parse_system("f1 = x*y + x^2*y^2"), parse_system("f1 = x*y + x*z\nf2 = y*z")]
+    for system in systems:
+        polytopes = [newton_polytope(f) for f in system.polys]
+        for P in polytopes + [minkowski_sum(polytopes)]:
+            for face in all_proper_faces(P):
+                assert face.dim == _AffineFrame(list(face.support)).dim
 
 
 def test_analyze_system_attaches_decompositions(half_disk):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from holderbounds.cli import _axis_schedule
 from holderbounds.newton import analyze_system
 from holderbounds.nondegen import (
     CertifyConfig,
@@ -26,6 +27,7 @@ from holderbounds.nondegen import (
 from holderbounds.polysys import Polynomial, PolySystem, parse_system
 
 from conftest import DEMO_SYSTEMS, random_convenient_system
+from descent_oracle import certify_face_per_stage
 from minor_oracle import MinorLoopMDelta
 
 FAST = CertifyConfig(samples=512, multistarts=8, descent_iters=80, seed=42)
@@ -252,23 +254,78 @@ def _descend_every_iteration(comp, starts, tau_axis, iters):
 
 
 def test_descend_exit_matches_full_descent():
+    # One mixed-floor batch against the full descent run once per floor.
     systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS]
     systems += [random_convenient_system(random.Random(seed), max_polys=3) for seed in range(1, 5)]
     iters = 200
+    floors = (1e-1, 1e-3)
     early = 0
     for index, system in enumerate(systems):
         for face in analyze_system(system).faces:
             comp = _CompiledMDelta(build_m_delta(system, face))
             rng = np.random.default_rng(index)
             starts = rng.uniform(-1.0, 1.0, size=(8, system.n))
-            for tau_axis in (1e-1, 1e-3):
-                X, vals = _descend(comp, starts, tau_axis, iters)
+            column = np.repeat(floors, len(starts))[:, None]
+            X, vals = _descend(comp, np.vstack([starts] * len(floors)), column, iters)
+            for k, tau_axis in enumerate(floors):
+                rows = slice(k * len(starts), (k + 1) * len(starts))
                 X_full, vals_full, fixed_at = _descend_every_iteration(comp, starts, tau_axis, iters)
-                np.testing.assert_array_equal(X, X_full)
-                np.testing.assert_array_equal(vals, vals_full)
+                np.testing.assert_array_equal(X[rows], X_full)
+                np.testing.assert_array_equal(vals[rows], vals_full)
                 early += fixed_at < iters
     # The exit must actually be taken for the comparison to mean anything.
     assert early > 0
+
+
+def test_descend_rows_do_not_depend_on_their_batch():
+    # One descent per face over every stage's starts rests on this: a row
+    # ends bitwise where it ends when descended alone, whatever its floor.
+    # "Alone" is a batch of two copies of the row: numpy evaluates a
+    # one-row matrix product by BLAS's matrix-vector path, which rounds
+    # differently from the matrix-matrix path every larger batch takes.
+    systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS]
+    systems += [random_convenient_system(random.Random(seed), max_polys=3) for seed in (5, 6)]
+    for index, system in enumerate(systems):
+        for face in analyze_system(system).faces:
+            comp = _CompiledMDelta(build_m_delta(system, face))
+            rng = np.random.default_rng(100 + index)
+            starts = rng.uniform(-1.0, 1.0, size=(9, system.n))
+            column = rng.choice([1e-1, 1e-2, 1e-3], size=(9, 1))
+            X, vals = _descend(comp, starts, column, 200)
+            for i in range(len(starts)):
+                X_one, vals_one = _descend(comp, starts[[i, i]], column[[i, i]], 200)
+                np.testing.assert_array_equal(X[[i, i]], X_one)
+                np.testing.assert_array_equal(vals[[i, i]], vals_one)
+
+
+ORACLE_CASES = [
+    (seed, tau_axis)
+    for seed in (1, 7, 42)
+    # Schedules of length 1, 3 and 4.
+    for tau_axis in (0.5, None, 1e-4)
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_certify_face_matches_per_stage_oracle(case):
+    # One descent over every stage's starts gives the same certificates as
+    # one descent per stage: same samples, objective, witness and status.
+    # With multistarts=1 the per-stage search evaluated each start as a
+    # one-row batch, which rounds differently (see the batch test below).
+    seed, tau_axis = ORACLE_CASES[case]
+    cfg = CertifyConfig(
+        samples=64,
+        multistarts=3,
+        descent_iters=100,
+        seed=seed,
+        tau_axis_schedule=_axis_schedule(tau_axis),
+    )
+    systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS]
+    systems += [random_convenient_system(random.Random(2 * case + k)) for k in range(2)]
+    for system in systems:
+        for index, face in enumerate(analyze_system(system).faces):
+            M = build_m_delta(system, face)
+            assert certify_face(M, cfg, index) == certify_face_per_stage(M, cfg, index)
 
 
 def test_certify_half_disk_nondegenerate(half_disk):
@@ -306,6 +363,12 @@ def test_certify_sphere_cubic_all_faces(sphere_cubic):
     verdict = certify_system(sphere_cubic, cfg)
     assert len(verdict.faces) == 13
     assert verdict.status == "nondegenerate_probable"
+
+
+def test_certify_config_needs_an_axis_floor():
+    # Without a stage there would be no sample and no descent to report.
+    with pytest.raises(ValueError, match="tau_axis_schedule"):
+        CertifyConfig(tau_axis_schedule=())
 
 
 def test_certify_reports_missing_convenience():
