@@ -144,7 +144,7 @@ class _CompiledMDelta:
         scale = np.ones(X.shape[0])
         for i, row in enumerate(self.rows):
             table = row.table(X)
-            values = table @ row.coeffs
+            values = row.contract(table)
             mats[:, i, :n] = values[:, :n]
             mats[:, i, n + i] = values[:, n]
             scale *= np.abs(table).sum(axis=1) ** 2
@@ -270,9 +270,8 @@ def _descend(
     """Batch adaptive-step coordinate descent with an axis-avoidance floor.
 
     ``tau_axis`` is a scalar or a per-row column of shape (rows, 1).  Every
-    row descends on its own: in a batch of two rows or more its trajectory
-    does not depend on which rows share the batch (a one-row matrix
-    product takes BLAS's matrix-vector path, which rounds differently).
+    row descends on its own: its trajectory does not depend on which rows
+    share the batch.
     A row that fails to improve with its step at the 1e-12 floor sits at
     a fixed point (every later iteration would repeat its proposals), so
     it leaves the live set; the descent ends when no row is live or after

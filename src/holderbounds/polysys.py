@@ -23,12 +23,21 @@ first-appearance order.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+try:
+    # The C routine behind ``np.einsum``: the same sums, without the
+    # Python wrapper's microsecond per call, which is most of the cost of
+    # one small single-point evaluation.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # another numpy layout
+    _einsum = np.einsum
 
 Exponent = tuple[int, ...]
 Rational = int | Fraction
@@ -553,6 +562,9 @@ class _CompiledMap:
         support = sorted(set().union(*(f.terms for f in polys)))
         self.nvars = nvars
         self.exps = np.array(support, dtype=np.int64).reshape(-1, nvars)
+        # Float powers: numpy's float power takes float exponents anyway, so
+        # casting once here changes no bit.
+        self._powers = self.exps.astype(float)
         self.coeffs = np.array(
             [[float(f.terms.get(e, 0)) for f in polys] for e in support]
         ).reshape(-1, len(polys))
@@ -568,14 +580,38 @@ class _CompiledMap:
     def table(self, X) -> np.ndarray:
         """x^kappa for every row x of X and every kappa of the support."""
         X = np.atleast_2d(self._points(X))
-        return (X[:, None, :] ** self.exps[None, :, :]).prod(axis=2)
+        return (X[:, None, :] ** self._powers[None, :, :]).prod(axis=2)
+
+    def contract(self, table: np.ndarray) -> np.ndarray:
+        """Every polynomial from a monomial table, each row on its own.
+
+        ``einsum`` sums a row in the same order whatever else shares the
+        call; a BLAS product does not (gemm's blocking depends on the
+        batch, and a one-row product goes to gemv), so a point alone and
+        the same point inside any batch would round differently.
+        """
+        return _einsum("mk,kj->mj", table, self.coeffs)
+
+    def split(self, stop: int) -> tuple["_CompiledMap", "_CompiledMap"]:
+        """Two maps over this support: polynomials [0, stop) and [stop, ...).
+
+        Both read the same monomial table, so a caller that needs the
+        second block only sometimes builds one table and contracts only
+        the columns it needs.
+        """
+        head, tail = copy.copy(self), copy.copy(self)
+        head.coeffs = np.ascontiguousarray(self.coeffs[:, :stop])
+        tail.coeffs = np.ascontiguousarray(self.coeffs[:, stop:])
+        return head, tail
 
     def __call__(self, X) -> np.ndarray:
-        return self.table(X) @ self.coeffs
+        return self.contract(self.table(X))
 
     def one(self, x) -> np.ndarray:
-        """All polynomials at one point (no batch axis)."""
-        return (self._points(x) ** self.exps).prod(axis=1) @ self.coeffs
+        """All polynomials at one point (no batch axis); the same bits as
+        that point's row in any batch."""
+        row = (self._points(x) ** self._powers).prod(axis=1)
+        return _einsum("k,kj->j", row, self.coeffs)
 
 
 def principal_part(f: Polynomial, face_support: Iterable[Exponent]) -> Polynomial:

@@ -9,17 +9,30 @@ max function, then fits the best empirical constant ``c`` in
     c * d(x, S) <= [f(x)]_+^alpha + [f(x)]_+.
 
 Distances to a semialgebraic set are NP-hard in general, so the oracle
-is an upper-bound estimator: multistart local projection seeded from a
-feasibility grid, with a penalty-continuation fallback and a Gauss-Newton
-feasibility polish, plus the Gauss-Newton projection of the query itself.
-Upper bounds make every fitted constant conservative in the safe
-direction (ratios can only shrink).  Components and their partials are
-evaluated together through one compiled map (``polysys._CompiledMap``).
+is an upper-bound estimator: local projections from the nearest points
+of a feasible anchor pool (found from a feasibility grid), plus the
+Gauss-Newton projection of the query itself.  All queries are projected
+together: each (query, anchor) pair is one row of a batched SQP
+iteration with the exact Lagrangian Hessian, whose QP subproblems are
+solved by enumerating active sets.  Rows where SQP fails (no valid active
+set, multipliers blowing up where a constraint gradient vanishes on S,
+or no convergence within the iteration cap) fall back to a per-anchor
+SLSQP projection with penalty continuation, as do all rows of a system
+with too many constraints to enumerate their active sets.  Each bound
+is a local projection: on a nonconvex S the SQP descent can settle in
+a farther local minimum than the SLSQP projection alone reached from
+the same anchor (SLSQP's early steps can jump to another basin), and
+in a nearer one as often.  Upper bounds make every fitted constant
+conservative in the safe direction (ratios can only shrink).
+Components, their partials and second partials are evaluated together
+through one compiled map (``polysys._CompiledMap``), whose rows do not
+depend on the batch they are evaluated in.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,16 +52,22 @@ class FeasibleSetEmptyError(RuntimeError):
 
 
 class _CompiledSystem:
-    """Values and Jacobian of a system from one compiled map.
+    """Values, Jacobian and second partials of a system from one compiled map.
 
-    The map's columns are f_1..f_p followed by the partials d f_i / d x_j
-    (row-major in i), so both come from one monomial table in one pass.
+    One support covers f_1..f_p, the partials d f_i / d x_j (row-major
+    in i) and the second partials d^2 f_i / d x_j d x_k.  ``_map`` holds
+    the columns of the values and partials, ``_hess`` those of the second
+    partials; ``full`` contracts one monomial table with both, every
+    other call with ``_map`` alone.
     """
 
     def __init__(self, system: PolySystem):
         self.n, self.p = system.n, system.p
         partials = [f.partial(j) for f in system.polys for j in range(self.n)]
-        self._map = _CompiledMap(list(system.polys) + partials, self.n)
+        second = [g.partial(k) for g in partials for k in range(self.n)]
+        whole = _CompiledMap(list(system.polys) + partials + second, self.n)
+        self._map, self._hess = whole.split(self.p + self.p * self.n)
+        self._gauge = np.abs(self._map.coeffs)
 
     def _split(self, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         jac = out[..., self.p :].reshape(out.shape[:-1] + (self.p, self.n))
@@ -58,12 +77,25 @@ class _CompiledSystem:
         """Values (m, p) and Jacobians (m, p, n) at the rows of X."""
         return self._split(self._map(X))
 
+    def full(self, X):
+        """Values, Jacobians, Hessians (m, p, n, n) and gauges at the rows of X.
+
+        The gauges are the values and Jacobians of the polynomials with
+        every term c x^kappa replaced by |c x^kappa|: the scale of the
+        rounding error in each entry.
+        """
+        table = self._map.table(X)
+        hess = self._hess.contract(table).reshape(-1, self.p, self.n, self.n)
+        gauge = self._split(np.einsum("mk,kj->mj", np.abs(table), self._gauge))
+        return self._split(self._map.contract(table)) + (hess, gauge)
+
     def one(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Values (p,) and Jacobian (p, n) at one point."""
-        return self._split(self._map.one(x))
+        out = self._map.one(x)
+        return out[: self.p], out[self.p :].reshape(self.p, self.n)
 
     def values_one(self, x) -> np.ndarray:
-        return self.one(x)[0]
+        return self._map.one(x)[: self.p]
 
 
 def residual(system: PolySystem, x) -> float:
@@ -73,9 +105,35 @@ def residual(system: PolySystem, x) -> float:
 
 # -- distance oracle ---------------------------------------------------------------
 
+# Queries per lockstep batch: bounds the batch's memory whatever the
+# number of queries.  Rows never interact, so it changes no result.
+_CHUNK = 256
+# Iteration cap of one lockstep SQP row; a row that reaches it falls back.
+_SQP_ITERS = 60
+# A row whose step is below this (times 1 + |a|) sits at its fixed point.
+_STEP_FLOOR = 1e-12
+# A row whose QP multipliers exceed this (times 1 + |a - x|) has lost the
+# constraint qualification (a vanishing active gradient); it falls back.
+_MULTIPLIER_CAP = 1e4
+# Bound on (active sets + 1) * max(n, p): the floats a lockstep row holds
+# per QP solve.  Their number grows combinatorially with p, so a system
+# past it (p = 3 gives at most 8 * max(n, 3)) sends every row to the
+# fallback, whose memory is linear in p.
+_QP_WIDTH = 256
+
 
 @dataclass(frozen=True)
 class DistanceConfig:
+    """Budget of the distance oracle.
+
+    ``multistarts`` caps both the anchor pool and the anchors one query
+    walks, nearest first; the walk stops after ``stall_limit`` anchors in
+    a row fail to tighten the bound.  ``penalty_schedule`` drives the
+    fallback's penalty continuation, ``polish_iters`` the Gauss-Newton
+    polish, and a candidate counts only where every component is at most
+    ``tau_feas``.
+    """
+
     multistarts: int = 32
     penalty_schedule: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
     tau_feas: float = 1e-9
@@ -99,13 +157,23 @@ class DistanceOracle:
     """Upper-bound estimator of the distance to {x : all f_i(x) <= 0}.
 
     A feasibility pre-pass collects a pool of (near-)feasible anchor
-    points; each query runs local projections seeded from the anchors
-    nearest the query, falling back to penalty continuation when the
-    projector fails.  The query's own Gauss-Newton projection is tried
-    too, since which basin a projection from an anchor lands in can turn
-    on the last bits of a sum.  A candidate counts only if every
+    points.  ``distances`` projects every infeasible query from its
+    nearest anchors in lockstep: each (query, anchor) pair is one row of
+    a batched SQP iteration (``_lockstep``).  A row that finds no valid
+    QP active set, whose multipliers blow up (the constraint
+    qualification fails, as at S = {0} in sphere_cubic), whose line
+    search stalls or that reaches the iteration cap falls back to the
+    per-anchor SLSQP and penalty path; so does a converged row whose
+    point is not feasible, and so does every row where the QP would have
+    too many active sets to enumerate (``_QP_WIDTH``).  Each query walks
+    its anchors nearest first, as set out in ``DistanceConfig``; the rows
+    are projected in rounds, each holding just the anchors that the walks
+    still running can reach.  The query's own Gauss-Newton projection is
+    tried last, since which basin a projection from an anchor lands in
+    can turn on the last bits of a sum.  A candidate counts only if every
     component is below ``tau_feas`` at it.  More budget can only tighten
-    the answer.
+    the answer.  Rows never interact, so a query's result does not
+    depend on the batch it is in: ``distance(x)`` is ``distances([x])[0]``.
     """
 
     def __init__(self, system: PolySystem, cfg: DistanceConfig | None = None):
@@ -113,6 +181,16 @@ class DistanceOracle:
         self.cfg = cfg or DistanceConfig()
         self.comp = _CompiledSystem(system)
         self._pool: np.ndarray | None = None
+        n, p = system.n, system.p
+        # The nonempty active sets of the QP subproblems, one array per
+        # size; None where there are too many to enumerate.
+        sizes = range(1, min(n, p) + 1)
+        count = 1 + sum(math.comb(p, k) for k in sizes)
+        self._active_sets = (
+            [np.array(list(itertools.combinations(range(p), k))) for k in sizes]
+            if count * max(n, p) <= _QP_WIDTH
+            else None
+        )
 
     # feasibility ------------------------------------------------------------
 
@@ -122,22 +200,28 @@ class DistanceOracle:
         pos = np.maximum(values, 0.0)
         return float((pos**2).sum()), 2.0 * pos @ jac
 
-    def _polish(self, x):
-        """Gauss-Newton push onto the feasible side."""
-        x = np.asarray(x, dtype=float).copy()
+    def _polish(self, X):
+        """Gauss-Newton push of every row of X onto the feasible side.
+
+        Each row takes minimum-norm least-squares steps on its components
+        above ``tau_feas / 10`` and stops when none is, when their
+        Jacobian vanishes or when a step is not finite or exceeds 1e3.
+        """
+        X = np.array(X, dtype=float)
+        live = np.arange(X.shape[0])
         for _ in range(self.cfg.polish_iters):
-            values, jac = self.comp.one(x)
+            values, jac = self.comp(X[live])
             active = values > self.cfg.tau_feas * 0.1
-            if not active.any():
+            J = np.where(active[:, :, None], jac, 0.0)
+            go = active.any(axis=1) & (np.sqrt((J * J).sum(axis=(1, 2))) >= 1e-12)
+            live, J, r = live[go], J[go], np.where(active, values, 0.0)[go]
+            if live.size == 0:
                 break
-            J, r = jac[active], values[active]
-            if np.linalg.norm(J) < 1e-12:
-                break
-            step, *_ = np.linalg.lstsq(J, r, rcond=None)
-            if not np.isfinite(step).all() or np.linalg.norm(step) > 1e3:
-                break
-            x = x - step
-        return x
+            step = np.einsum("rjp,rp->rj", np.linalg.pinv(J), r)
+            fine = np.isfinite(step).all(axis=1) & (np.linalg.norm(step, axis=1) <= 1e3)
+            live = live[fine]
+            X[live] -= step[fine]
+        return X
 
     def feasible_pool(self) -> np.ndarray:
         if self._pool is not None:
@@ -152,10 +236,10 @@ class DistanceOracle:
         scores = (np.maximum(self.comp(draws)[0], 0.0) ** 2).sum(axis=1)
         order = np.argsort(scores)
         found = []
-        for point in cfg.known_feasible or ():
-            candidate = self._polish(np.asarray(point, dtype=float))
-            if self.comp.values_one(candidate).max() <= cfg.tau_feas:
-                found.append(candidate)
+        if cfg.known_feasible:
+            known = self._polish(np.array(cfg.known_feasible, dtype=float))
+            values = self.comp(known)[0].max(axis=1)
+            found.extend(known[values <= cfg.tau_feas])
         for idx in order[: max(16, cfg.multistarts)]:
             start = draws[idx]
             if scores[idx] > 0:
@@ -167,7 +251,7 @@ class DistanceOracle:
                     options={"maxiter": 200},
                 )
                 start = res.x
-            point = self._polish(start)
+            point = self._polish(start[None])[0]
             if self.comp.values_one(point).max() <= cfg.tau_feas:
                 if not any(np.linalg.norm(point - q) < 1e-7 for q in found):
                     found.append(point)
@@ -181,6 +265,155 @@ class DistanceOracle:
         return self._pool
 
     # projection -------------------------------------------------------------
+
+    def _qp_steps(self, g, f, J, H, gauge):
+        """Solve min g.s + s'Hs/2 subject to f + J s <= 0, row by row.
+
+        H is positive definite, so the QP's solution is the KKT point of
+        one active set; every set of at most min(n, p) constraints is
+        tried at once.  A set is valid when its Schur matrix J_A H^-1 J_A'
+        is nonsingular, its multipliers are nonnegative and the step
+        keeps every other linearised constraint.  Returns the step and
+        multipliers of the valid set with the least QP objective, and
+        whether any set was valid.
+        """
+        rows, p, n = J.shape
+        sol = np.linalg.solve(H, np.concatenate([g[:, :, None], J.transpose(0, 2, 1)], axis=2))
+        w, W = sol[:, :, 0], sol[:, :, 1:]  # H^-1 g and H^-1 J'
+        schur = np.einsum("rpj,rjq->rpq", J, W)
+        rhs = f - np.einsum("rpj,rj->rp", J, w)
+        count = 1 + sum(len(sets) for sets in self._active_sets)
+        lam = np.zeros((rows, count, p))
+        valid = np.ones((rows, count), dtype=bool)
+        slot = 1  # slot 0 is the empty set
+        for k, sets in enumerate(self._active_sets, start=1):
+            # The Schur matrix scaled to a unit diagonal, so that a short
+            # gradient alone neither counts as a dependent one nor costs
+            # the solve its accuracy.
+            M = schur[:, sets[:, :, None], sets[:, None, :]]
+            diag = np.sqrt(np.abs(np.diagonal(M, axis1=-2, axis2=-1)))
+            regular = (diag > 0).all(axis=-1)
+            diag[~regular] = 1.0
+            M = M / (diag[..., :, None] * diag[..., None, :])
+            regular &= np.linalg.eigvalsh(M)[..., 0] > 1e-12
+            M = np.where(regular[..., None, None], M, np.eye(k))
+            sub = np.linalg.solve(M, (rhs[:, sets] / diag)[..., None])[..., 0] / diag
+            slots = np.arange(slot, slot + len(sets))
+            for column in range(k):
+                lam[:, slots, sets[:, column]] = sub[..., column]
+            valid[:, slots] = regular
+            slot += len(sets)
+        steps = -w[:, None, :] - np.einsum("rjq,rsq->rsj", W, lam)
+        linear = f[:, None, :] + np.einsum("rpj,rsj->rsp", J, steps)
+        # Tolerance of the linearised constraints: rounding in a step scales
+        # with the unconstrained step w it corrects, even where the step is
+        # tiny; where a gradient vanishes, the rounding of f and J (their
+        # gauges) is all there is.
+        size = np.linalg.norm(steps, axis=2) + np.linalg.norm(w, axis=1)[:, None]
+        scale = np.abs(f)[:, None, :] + np.linalg.norm(J, axis=2)[:, None, :] * size[:, :, None]
+        noise = gauge[0][:, None, :] + np.linalg.norm(gauge[1], axis=2)[:, None, :] * size[:, :, None]
+        valid &= (linear <= 1e-12 * scale + 1e-15 * noise).all(axis=2)
+        valid &= (lam >= -1e-10 * (1.0 + np.abs(lam).max(axis=2, keepdims=True))).all(axis=2)
+        objective = np.einsum("rj,rsj->rs", g, steps) + 0.5 * np.einsum(
+            "rsj,rsj->rs", steps, np.einsum("rjk,rsk->rsj", H, steps)
+        )
+        best = np.where(valid, objective, np.inf).argmin(axis=1)
+        pick = np.arange(rows)
+        return steps[pick, best], np.maximum(lam[pick, best], 0.0), valid.any(axis=1)
+
+    @staticmethod
+    def _hessian(mu, J, hess):
+        """H = I + sum_i mu_i Hess f_i, made positive definite where needed.
+
+        Where H is not, H + rho * sum_{mu_i > 0} grad f_i grad f_i' is
+        tried for growing rho: on the constraints' tangent space it equals
+        H, and on a correct active set the QP step does not change (the
+        added term is constant there).  Where no rho works, H = I.
+        """
+        n = J.shape[2]
+        H = np.eye(n) + np.einsum("rp,rpjk->rjk", mu, hess)
+        Jmu = np.where(mu[:, :, None] > 0, J, 0.0)
+        G = np.einsum("rpj,rpk->rjk", Jmu, Jmu)
+        bad = np.flatnonzero(np.linalg.eigvalsh(H)[:, 0] <= 1e-8)
+        base = np.linalg.norm(H[bad], axis=(1, 2)) / np.maximum(
+            np.linalg.norm(G[bad], axis=(1, 2)), 1e-300
+        )
+        for rho in (1.0, 1e1, 1e2, 1e3, 1e4):
+            if bad.size == 0:
+                break
+            trial = H[bad] + (rho * base)[:, None, None] * G[bad]
+            fixed = np.linalg.eigvalsh(trial)[:, 0] > 1e-8
+            H[bad[fixed]] = trial[fixed]
+            bad, base = bad[~fixed], base[~fixed]
+        H[bad] = np.eye(n)
+        return H
+
+    def _lockstep(self, X, A):
+        """Project row i of X onto S by SQP from the anchor in row i of A.
+
+        Each iteration evaluates f, J and the Hessians in one map call,
+        takes the QP step with the Lagrangian Hessian of the previous
+        multipliers (``_hessian``) and backtracks on the l1 merit
+        |a - x|^2 / 2 + sum_i nu_i [f_i(a)]_+.  A row converges when its
+        QP step is below the floor.  Returns the final points and whether
+        each row converged; a row fails when no active set is valid, when
+        its multipliers pass the cap, when its line search fails short of
+        the floor or when it reaches the iteration cap.  Every row fails
+        where the system has too many active sets to enumerate.
+        """
+        rows, n = X.shape
+        A = np.array(A, dtype=float)
+        if self._active_sets is None:
+            return A, np.zeros(rows, dtype=bool)
+        mu = np.zeros((rows, self.system.p))
+        nu = np.zeros((rows, self.system.p))
+        converged = np.zeros(rows, dtype=bool)
+        live = np.arange(rows)
+        for _ in range(_SQP_ITERS):
+            a, x = A[live], X[live]
+            f, J, hess, gauge = self.comp.full(a)
+            g = a - x
+            H = self._hessian(mu[live], J, hess)
+            s, lam, solved = self._qp_steps(g, f, J, H, gauge)
+            gnorm = np.linalg.norm(g, axis=1)
+            solved &= lam.max(axis=1, initial=0.0) <= _MULTIPLIER_CAP * (1.0 + gnorm)
+            s[~solved] = 0.0
+            # Powell's weights on 1.5 times the multipliers: the margin keeps
+            # a correction step's decrease above rounding, and large weights
+            # decay once the multipliers do (a weight stuck high rejects the
+            # full step near the solution).
+            weights = np.maximum(1.5 * lam, 0.5 * (nu[live] + 1.5 * lam)) + 1e-8
+            nu[live] = weights
+            excess = np.einsum("rp,rp->r", weights, np.maximum(f, 0.0))
+            merit = 0.5 * gnorm**2 + excess
+            slope = np.einsum("rj,rj->r", g, s) - excess
+            t = np.ones(live.size)
+            pending = np.flatnonzero(solved)
+            for _ in range(40):
+                if pending.size == 0:
+                    break
+                trial = a[pending] + t[pending, None] * s[pending]
+                d = trial - x[pending]
+                excess_t = np.einsum(
+                    "rp,rp->r", weights[pending], np.maximum(self.comp(trial)[0], 0.0)
+                )
+                value = 0.5 * np.einsum("rj,rj->r", d, d) + excess_t
+                ok = value <= merit[pending] + 1e-4 * t[pending] * slope[pending]
+                t[pending[~ok]] *= 0.5
+                pending = pending[~ok]
+            t[pending] = 0.0
+            A[live] = a + t[:, None] * s
+            mu[live] = lam
+            done = solved & (
+                np.linalg.norm(s, axis=1) <= _STEP_FLOOR * (1.0 + np.linalg.norm(a, axis=1))
+            )
+            # A row whose line search failed short of its floor is stuck.
+            solved[pending] = done[pending]
+            converged[live[done]] = True
+            live = live[solved & ~done]
+            if live.size == 0:
+                break
+        return A, converged
 
     def _project_slsqp(self, x, start):
         def objective(a):
@@ -230,44 +463,103 @@ class DistanceOracle:
             a = res.x
         return a
 
-    def distance(self, x) -> DistanceResult:
-        x = np.asarray(x, dtype=float)
-        cfg = self.cfg
-        values = self.comp.values_one(x)
-        if values.max() <= cfg.tau_feas:
-            return DistanceResult(0.0, tuple(float(v) for v in x), float(values.max()))
-
-        pool = self.feasible_pool()
-        dists = np.linalg.norm(pool - x, axis=1)
-        order = np.argsort(dists)
-        best_d, best_a = float(dists.min()), pool[int(dists.argmin())]
-
-        stalls = 0
-        for rank in order[: cfg.multistarts]:
-            anchor = pool[rank]
-            candidate = self._polish(self._project_slsqp(x, anchor))
+    def _fallback(self, x, anchor):
+        """Per-anchor SLSQP projection, then penalty continuation, polished."""
+        candidate = self._polish(self._project_slsqp(x, anchor)[None])[0]
+        violation = self.comp.values_one(candidate).max()
+        if violation > self.cfg.tau_feas:
+            candidate = self._polish(self._project_penalty(x, anchor)[None])[0]
             violation = self.comp.values_one(candidate).max()
-            if violation > cfg.tau_feas:
-                candidate = self._polish(self._project_penalty(x, anchor))
-                violation = self.comp.values_one(candidate).max()
-            improved = False
-            if violation <= cfg.tau_feas:
-                d = float(np.linalg.norm(candidate - x))
-                if d < best_d - 1e-12:
-                    best_d, best_a = d, candidate
-                    improved = True
-            stalls = 0 if improved else stalls + 1
-            if stalls >= cfg.stall_limit:
-                break
-        own = self._polish(x)
-        d = float(np.linalg.norm(own - x))
-        if d < best_d and self.comp.values_one(own).max() <= cfg.tau_feas:
-            best_d, best_a = d, own
-        return DistanceResult(
-            best_d,
-            tuple(float(v) for v in best_a),
-            float(self.comp.values_one(best_a).max()),
-        )
+        return candidate, violation
+
+    def distance(self, x) -> DistanceResult:
+        return self.distances(np.asarray(x, dtype=float)[None])[0]
+
+    def distances(self, X) -> list[DistanceResult]:
+        """Distance upper bounds for every row of X (see the class docstring)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("distances takes a 2-d array with one point per row")
+        out: list[DistanceResult] = []
+        for start in range(0, X.shape[0], _CHUNK):
+            out.extend(self._distances(X[start : start + _CHUNK]))
+        return out
+
+    def _distances(self, X) -> list[DistanceResult]:
+        cfg = self.cfg
+        values = self.comp(X)[0].max(axis=1)
+        out: list[DistanceResult | None] = [
+            DistanceResult(0.0, tuple(float(v) for v in x), float(v)) if v <= cfg.tau_feas else None
+            for x, v in zip(X, values)
+        ]
+        queries = np.flatnonzero(values > cfg.tau_feas)
+        if queries.size == 0:
+            return out
+        pool = self.feasible_pool()
+        Q = X[queries]
+        dists = np.linalg.norm(pool[None, :, :] - Q[:, None, :], axis=2)
+        order = np.argsort(dists, axis=1)[:, : cfg.multistarts]
+        best_d = dists.min(axis=1)
+        best_a = pool[dists.argmin(axis=1)]
+        stalls = np.zeros(len(Q), dtype=int)
+        walked = np.zeros(len(Q), dtype=int)
+        ended = np.zeros(len(Q), dtype=bool)
+        walking = list(range(len(Q))) if order.shape[1] else []
+        # Rounds: project, for every query still walking, the anchors that
+        # could end its walk, then advance the walks over the results.  A
+        # converged row descends its merit from a feasible anchor, so the
+        # first anchor's projection ends nearer than the anchor (the bound
+        # so far) unless the anchor is already a local projection; it
+        # improved on all 1,347 infeasible queries of the desk benchmark's
+        # verify jobs at seeds 42 and 5.  So the first round takes one
+        # anchor more and saves a round: 3.2 s instead of 5.0 s for those
+        # queries one at a time.
+        while walking:
+            rows = [
+                (q, k)
+                for q in walking
+                for k in range(
+                    walked[q],
+                    min(
+                        walked[q] + max(1, cfg.stall_limit - stalls[q]) + (walked[q] == 0),
+                        order.shape[1],
+                    ),
+                )
+            ]
+            qs = np.array([q for q, _ in rows])
+            anchors = pool[order[qs, [k for _, k in rows]]]
+            points, converged = self._lockstep(Q[qs], anchors)
+            points = self._polish(points)
+            feasible = converged & (self.comp(points)[0].max(axis=1) <= cfg.tau_feas)
+            for row, (q, k) in enumerate(rows):
+                if ended[q]:
+                    continue
+                candidate = points[row]
+                if not feasible[row]:
+                    candidate, violation = self._fallback(Q[q], anchors[row])
+                    if violation > cfg.tau_feas:
+                        candidate = None
+                improved = False
+                if candidate is not None:
+                    d = np.linalg.norm(candidate - Q[q])
+                    if d < best_d[q] - 1e-12:
+                        best_d[q], best_a[q] = d, candidate
+                        improved = True
+                stalls[q] = 0 if improved else stalls[q] + 1
+                walked[q] = k + 1
+                ended[q] = stalls[q] >= cfg.stall_limit or walked[q] == order.shape[1]
+            walking = [q for q in walking if not ended[q]]
+        own = self._polish(Q)
+        own_d = np.linalg.norm(own - Q, axis=1)
+        own_ok = (own_d < best_d) & (self.comp(own)[0].max(axis=1) <= cfg.tau_feas)
+        best_d = np.where(own_ok, own_d, best_d)
+        best_a[own_ok] = own[own_ok]
+        violations = self.comp(best_a)[0].max(axis=1)
+        for q, i in enumerate(queries):
+            out[i] = DistanceResult(
+                float(best_d[q]), tuple(float(v) for v in best_a[q]), float(violations[q])
+            )
+        return out
 
 
 def distance_to_S(system: PolySystem, x, cfg: DistanceConfig | None = None) -> DistanceResult:
@@ -428,24 +720,27 @@ def _stratified_box_samples(rng, box, count):
 
 
 def _boundary_biased_samples(rng, comp, base, anchors, count):
-    """Bisect sample->anchor segments to land just outside {f <= 0}."""
-    out = []
-    positive = [x for x in base if comp.values_one(x).max() > 0]
-    if not positive or anchors is None or len(anchors) == 0:
+    """Bisect sample->anchor segments to land just outside {f <= 0}.
+
+    The (sample, anchor) pairs are drawn first; the 40 bisection steps
+    then run over every segment at once, one batch evaluation per step.
+    """
+    positive = base[comp(base)[0].max(axis=1) > 0]
+    if not len(positive) or anchors is None or len(anchors) == 0:
         return np.empty((0, comp.n))
-    for _ in range(count):
-        x = positive[int(rng.integers(len(positive)))]
-        a = anchors[int(rng.integers(len(anchors)))]
-        t_out, t_in = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (t_out + t_in)
-            point = (1 - mid) * x + mid * a
-            if comp.values_one(point).max() > 0:
-                t_out = mid
-            else:
-                t_in = mid
-        out.append((1 - t_out) * x + t_out * a)
-    return np.array(out)
+    pairs = [
+        (int(rng.integers(len(positive))), int(rng.integers(len(anchors))))
+        for _ in range(count)
+    ]
+    X = positive[[i for i, _ in pairs]]
+    A = anchors[[j for _, j in pairs]]
+    t_out, t_in = np.zeros((count, 1)), np.ones((count, 1))
+    for _ in range(40):
+        mid = 0.5 * (t_out + t_in)
+        outside = comp((1 - mid) * X + mid * A)[0].max(axis=1, keepdims=True) > 0
+        t_out = np.where(outside, mid, t_out)
+        t_in = np.where(outside, t_in, mid)
+    return (1 - t_out) * X + t_out * A
 
 
 # -- goodness at infinity ----------------------------------------------------------
@@ -624,11 +919,8 @@ def verify_bound(
     if distance_fn is None:
         cfg = dist_cfg or DistanceConfig(seed=plan.seed, search_box=plan.box)
         oracle = DistanceOracle(system, cfg)
-        measure = lambda x: oracle.distance(x).distance
         if anchors is None:
             anchors = oracle.feasible_pool()
-    else:
-        measure = lambda x: float(distance_fn(np.asarray(x, dtype=float)))
 
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
     n_boundary = (
@@ -647,13 +939,17 @@ def verify_bound(
 
     alpha = float(report.alpha)
     values, grads = comp(X)
+    if oracle is not None:
+        distances = [r.distance for r in oracle.distances(X)]
+    else:
+        distances = [float(distance_fn(x)) for x in X]
     records = []
     violations = 0
     fitted = None
     for i in range(X.shape[0]):
         x = X[i]
         res = float(max(0.0, values[i].max()))
-        dist = float(measure(x))
+        dist = distances[i]
         slp = _slope_from_data(values[i], grads[i], system.p).value
         if dist > tau_dist:
             numerator = res**alpha + res if res > 0 else 0.0

@@ -240,8 +240,8 @@ def test_criterion_5_quadratic_special_case():
                     seed=9,
                 ),
             )
-            for x in X:
-                d = oracle.distance(x).distance
+            for x, result in zip(X, oracle.distances(X)):
+                d = result.distance
                 assert qb.constant * d <= np.sqrt(abs(qb.value(x) - fbar)) + 1e-6
             instances += 1
 
@@ -390,12 +390,10 @@ def test_criterion_8_hoffman_regime():
                 groups.append((radius, radius * U))
             for radius, X in groups:
                 best = 0.0
-                for x in X:
-                    values = oracle.comp.values_one(x)
-                    res = float(max(0.0, values.max()))
-                    if res <= 1e-9:
-                        continue
-                    d = oracle.distance(x).distance
+                residuals = np.maximum(oracle.comp(X)[0].max(axis=1), 0.0)
+                X, residuals = X[residuals > 1e-9], residuals[residuals > 1e-9]
+                for res, result in zip(residuals, oracle.distances(X)):
+                    d = result.distance
                     if d <= 1e-6:
                         continue
                     ratio = d / res

@@ -95,3 +95,49 @@ def test_wrong_point_length_raises(half_disk, point):
         comp.values_one(point)
     with pytest.raises(ValueError, match="2-variable"):
         comp(np.array([point]))
+
+
+def _wide_systems():
+    """The demos, plus random systems whose compiled map has >= 16 monomials."""
+    for path in DEMO_SYSTEMS:
+        yield path.name, parse_system(path.read_text())
+    found, seed = 0, 0
+    while found < 6:
+        rng = random.Random(1000 + seed)
+        system = random_convenient_system(rng, max_vars=4, max_polys=3, max_extra_terms=6, max_degree=4)
+        seed += 1
+        if _CompiledSystem(system)._map.exps.shape[0] >= 16:
+            found += 1
+            yield f"seed {1000 + seed - 1}", system
+
+
+def test_compiled_map_rows_do_not_depend_on_their_batch():
+    # A point alone, or inside any batch, evaluates to the same bits: the
+    # contraction never goes through BLAS, whose kernels round a row
+    # according to the batch it is in.
+    for name, system in _wide_systems():
+        cmap = _CompiledSystem(system)._map
+        rng = np.random.default_rng(len(name))
+        for size in (1, 2, 37, 4096):
+            X = rng.uniform(-2.5, 2.5, size=(size, system.n))
+            batch = cmap(X)
+            for i in range(size):
+                np.testing.assert_array_equal(cmap(X[i : i + 1])[0], batch[i], err_msg=name)
+                np.testing.assert_array_equal(cmap.one(X[i]), batch[i], err_msg=name)
+
+
+def test_compiled_system_rows_do_not_depend_on_their_batch():
+    # Values and Jacobians read the same bits alone, in a batch, and from
+    # ``full``, which contracts the same table with the second partials too.
+    for name, system in _wide_systems():
+        comp = _CompiledSystem(system)
+        X = np.random.default_rng(len(name)).uniform(-2.5, 2.5, size=(37, system.n))
+        values, jac = comp(X)
+        full = comp.full(X)
+        np.testing.assert_array_equal(full[0], values, err_msg=name)
+        np.testing.assert_array_equal(full[1], jac, err_msg=name)
+        assert full[2].shape == (37, system.p, system.n, system.n)
+        for i in range(len(X)):
+            one = comp.one(X[i])
+            np.testing.assert_array_equal(one[0], values[i], err_msg=name)
+            np.testing.assert_array_equal(one[1], jac[i], err_msg=name)

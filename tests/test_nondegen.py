@@ -280,9 +280,6 @@ def test_descend_exit_matches_full_descent():
 def test_descend_rows_do_not_depend_on_their_batch():
     # One descent per face over every stage's starts rests on this: a row
     # ends bitwise where it ends when descended alone, whatever its floor.
-    # "Alone" is a batch of two copies of the row: numpy evaluates a
-    # one-row matrix product by BLAS's matrix-vector path, which rounds
-    # differently from the matrix-matrix path every larger batch takes.
     systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS]
     systems += [random_convenient_system(random.Random(seed), max_polys=3) for seed in (5, 6)]
     for index, system in enumerate(systems):
@@ -293,9 +290,9 @@ def test_descend_rows_do_not_depend_on_their_batch():
             column = rng.choice([1e-1, 1e-2, 1e-3], size=(9, 1))
             X, vals = _descend(comp, starts, column, 200)
             for i in range(len(starts)):
-                X_one, vals_one = _descend(comp, starts[[i, i]], column[[i, i]], 200)
-                np.testing.assert_array_equal(X[[i, i]], X_one)
-                np.testing.assert_array_equal(vals[[i, i]], vals_one)
+                X_one, vals_one = _descend(comp, starts[i : i + 1], column[i : i + 1], 200)
+                np.testing.assert_array_equal(X[i : i + 1], X_one)
+                np.testing.assert_array_equal(vals[i : i + 1], vals_one)
 
 
 ORACLE_CASES = [
