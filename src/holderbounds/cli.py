@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -339,11 +340,23 @@ def _parse_box(text: str):
     return tuple(intervals)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, then reject values not ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_unit_interval = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _parse_floats(text: str):
@@ -366,13 +379,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p._negative_number_matcher = negative_value
         p.add_argument("input", help="polynomial system file")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_nonnegative_int, default=42)
         p.add_argument("--samples", type=_positive_int, default=None)
         p.add_argument("--box", type=_parse_box, default=None, help="lo:hi,lo:hi,...")
         p.add_argument("--rings", type=_parse_floats, default=None, help="r1,r2,...")
         p.add_argument("--point", type=_parse_floats, default=None, help="v1,v2,...")
-        p.add_argument("--tau-zero", type=float, default=1e-12)
-        p.add_argument("--tau-axis", type=float, default=None)
+        p.add_argument("--tau-zero", type=_positive_float, default=1e-12)
+        p.add_argument("--tau-axis", type=_unit_interval, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
     return parser

@@ -19,12 +19,16 @@ roundoff near 1e-13, some of it negative, where the minors and
 Gram-Schmidt give about 1e-29.  Batched QR keeps the precision but ran
 1.7 to 2.7 times slower than Gram-Schmidt at batches of 96 to 4096.
 
-Each face is sampled in one stage per ``tau_axis`` floor and then runs one
-batched coordinate descent: the best samples of every stage start
-together, each row under its own stage's floor, and a row leaves the
-batch once it sits at its fixed point.  A row's trajectory does not
-depend on the rows beside it, so this finds what one descent per stage
-would, with a fraction of the per-iteration numpy overhead.
+Each face is sampled from its own random stream, in one stage per
+``tau_axis`` floor, one face and stage at a time.  Then one batched
+coordinate descent runs the best samples of every stage of every face
+together, each row under its own face and stage floor, and a row leaves
+the batch once it sits at its fixed point.  One evaluator serves every
+face: per row index, one monomial table over the union of the faces'
+supports with a 0/1 mask per face.  A row's value and trajectory do not
+depend on the rows or faces beside it, so this finds what one descent per
+face and stage would, with a fraction of the per-call numpy overhead;
+``certify_face`` is the one-face case of the same search.
 
 A reported "degenerate" verdict comes with a witness point; when the
 witness rounds to a nearby rational point at which the matrix drops rank
@@ -37,6 +41,7 @@ positivity certificate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -109,25 +114,42 @@ def euler_defects(matrix: MDeltaMatrix) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
-class _CompiledMDelta:
-    """Vectorised float evaluation of the matrix and its minor objective.
+# Points per rank-test evaluation; a larger batch is evaluated in chunks,
+# which changes no bit, since every point is evaluated on its own.
+_BATCH_ROWS = 8192
 
-    Every entry of row i lives on supp(f_i_face), so row i is one
-    compiled map over its nonzero entries: the Euler terms
-    x_j * d f_i_face / d x_j followed by f_i_face, all evaluated from one
-    monomial table over the sorted support.
+
+class _RankTest:
+    """Vectorised float evaluation of the matrices of several faces.
+
+    Row i of every face's matrix lives on the support of f_i's principal
+    part on that face, a sub-sum of f_i.  So row i is one compiled map
+    over the union of those supports, the Euler terms
+    x_j * d f_i / d x_j followed by f_i, and a 0/1 mask per face keeps
+    that face's monomials.  A masked monomial adds an exact zero to sums
+    taken in support order, so a face's entries and gauges have the same
+    bits as on its own support, whichever faces share the evaluator or
+    the batch.  Points carry the index of their face.
     """
 
-    def __init__(self, matrix: MDeltaMatrix):
-        self.n = matrix.n
-        self.p = matrix.p
-        self.rows = [
-            _CompiledMap(row[: self.n] + (row[self.n + i],), self.n)
-            for i, row in enumerate(matrix.entries)
-        ]
-        self.zero_row = any(row.exps.shape[0] == 0 for row in self.rows)
+    def __init__(self, matrices: Sequence[MDeltaMatrix]):
+        self.n, self.p = matrices[0].n, matrices[0].p
+        # parts[face][i] is the principal part of f_i on the face.
+        parts = [[m.entries[i][self.n + i] for i in range(self.p)] for m in matrices]
+        self.rows = []
+        # masks[i][k, face] is 1.0 where monomial k of row i is on the face.
+        self.masks = []
+        for i in range(self.p):
+            union = Polynomial({k: c for face in parts for k, c in face[i].terms.items()}, self.n)
+            row = _CompiledMap([union.euler_term(j) for j in range(self.n)] + [union], self.n)
+            support = [tuple(kappa) for kappa in row.exps.tolist()]
+            self.rows.append(row)
+            mask = [[float(k in face[i].terms) for face in parts] for k in support]
+            self.masks.append(np.array(mask).reshape(len(support), len(parts)))
+        # A vanishing principal part forces rank < p outright.
+        self.zero_row = np.array([any(not part.terms for part in face) for face in parts])
 
-    def _evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate(self, X: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
         """Matrices at X and the squared product of the row gauges.
 
         The gauge g_i(x) = sum over supp(f_i_face) of |x^kappa| bounds every
@@ -142,27 +164,49 @@ class _CompiledMDelta:
         n = self.n
         mats = np.zeros((X.shape[0], self.p, n + self.p))
         scale = np.ones(X.shape[0])
-        for i, row in enumerate(self.rows):
+        for i, (row, mask) in enumerate(zip(self.rows, self.masks)):
             table = row.table(X)
+            table *= mask[:, np.atleast_1d(faces)]
             values = row.contract(table)
             mats[:, i, :n] = values[:, :n]
             mats[:, i, n + i] = values[:, n]
-            scale *= np.abs(table).sum(axis=1) ** 2
+            scale *= _gauge(table) ** 2
         return mats, scale
 
-    def matrices(self, X: np.ndarray) -> np.ndarray:
-        return self._evaluate(X)[0]
+    def matrices(self, X: np.ndarray, faces=0) -> np.ndarray:
+        return self._evaluate(X, faces)[0]
 
-    def raw_objective(self, X: np.ndarray) -> np.ndarray:
-        return _gram_determinant(self.matrices(X))
+    def raw_objective(self, X: np.ndarray, faces=0) -> np.ndarray:
+        return _gram_determinant(self.matrices(X, faces))
 
-    def normalized(self, X: np.ndarray) -> np.ndarray:
-        """Minor objective divided by the squared product of row gauges."""
-        mats, scale = self._evaluate(X)
-        if self.zero_row:
-            # A vanishing principal part forces rank < p outright.
-            return np.zeros(mats.shape[0])
-        return _gram_determinant(mats) / scale
+    def normalized(self, X: np.ndarray, faces=0) -> np.ndarray:
+        """Minor objective divided by the squared product of row gauges.
+
+        ``faces`` is one face index for every point, or one per point.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], _BATCH_ROWS):
+            rows = slice(start, start + _BATCH_ROWS)
+            chunk = faces[rows] if np.ndim(faces) else faces
+            mats, scale = self._evaluate(X[rows], chunk)
+            det = _gram_determinant(mats)
+            zero = self.zero_row[chunk]
+            out[rows] = np.divide(det, scale, out=np.zeros_like(det), where=~zero)
+        return out
+
+
+def _gauge(table: np.ndarray) -> np.ndarray:
+    """Sum of |x^kappa| over a monomial-major table, one monomial after another.
+
+    ``np.sum`` may add the monomials pairwise (it does for a single point
+    and 8 or more monomials), where a masked zero would regroup the sum
+    and change its bits.
+    """
+    gauge = np.zeros(table.shape[1])
+    for monomial in np.abs(table):
+        gauge += monomial
+    return gauge
 
 
 def _gram_determinant(mats: np.ndarray) -> np.ndarray:
@@ -182,12 +226,12 @@ def _gram_determinant(mats: np.ndarray) -> np.ndarray:
 
 def minor_norm_objective(matrix: MDeltaMatrix, x: Sequence[float]) -> float:
     """Sum over all p x p minors of minor(x)^2; zero iff the rank drops at x."""
-    return float(_CompiledMDelta(matrix).raw_objective(np.asarray(x, dtype=float))[0])
+    return float(_RankTest((matrix,)).raw_objective(np.asarray(x, dtype=float))[0])
 
 
 def normalized_minor_objective(matrix: MDeltaMatrix, x: Sequence[float]) -> float:
     """Scale-free minor objective: raw objective over squared row gauges."""
-    return float(_CompiledMDelta(matrix).normalized(np.asarray(x, dtype=float))[0])
+    return float(_RankTest((matrix,)).normalized(np.asarray(x, dtype=float))[0])
 
 
 # -- search ------------------------------------------------------------------------
@@ -209,6 +253,17 @@ class CertifyConfig:
     def __post_init__(self):
         if not self.tau_axis_schedule:
             raise ValueError("tau_axis_schedule needs at least one floor")
+        if not all(0 < tau < 1 for tau in self.tau_axis_schedule):
+            raise ValueError(
+                f"tau_axis_schedule floors must lie in (0, 1), got {self.tau_axis_schedule}"
+            )
+        if not (math.isfinite(self.tau_zero) and self.tau_zero > 0):
+            raise ValueError(f"tau_zero must be finite and positive, got {self.tau_zero}")
+        for name in ("samples", "multistarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.descent_iters < 0:
+            raise ValueError(f"descent_iters must be non-negative, got {self.descent_iters}")
 
 
 @dataclass(frozen=True)
@@ -264,22 +319,21 @@ def _project_torus(Y: np.ndarray, tau_axis: float | np.ndarray) -> np.ndarray:
     return sign * np.maximum(np.abs(Y), tau_axis)
 
 
-def _descend(
-    comp: _CompiledMDelta, starts: np.ndarray, tau_axis: float | np.ndarray, iters: int
-):
+def _descend(comp: _RankTest, starts: np.ndarray, tau_axis, iters: int, faces=0):
     """Batch adaptive-step coordinate descent with an axis-avoidance floor.
 
-    ``tau_axis`` is a scalar or a per-row column of shape (rows, 1).  Every
-    row descends on its own: its trajectory does not depend on which rows
-    share the batch.
+    ``tau_axis`` is a scalar or a per-row column of shape (rows, 1), and
+    ``faces`` a face index or one per row.  Every row descends on its
+    own: its trajectory does not depend on which rows share the batch.
     A row that fails to improve with its step at the 1e-12 floor sits at
     a fixed point (every later iteration would repeat its proposals), so
     it leaves the live set; the descent ends when no row is live or after
     ``iters`` iterations.
     """
     floor = np.broadcast_to(tau_axis, (starts.shape[0], 1))
+    faces = np.broadcast_to(faces, starts.shape[:1])
     X = _project_torus(starts, floor)
-    vals = comp.normalized(X)
+    vals = comp.normalized(X, faces)
     steps = np.full(X.shape[0], 0.25)
     live = np.arange(X.shape[0])
     n = comp.n
@@ -290,7 +344,8 @@ def _descend(
             proposals[:, 2 * j, j] += step
             proposals[:, 2 * j + 1, j] -= step
         proposals = _project_torus(proposals, floor[live][:, :, None])
-        cand = comp.normalized(proposals.reshape(-1, n)).reshape(live.size, 2 * n)
+        cand = comp.normalized(proposals.reshape(-1, n), np.repeat(faces[live], 2 * n))
+        cand = cand.reshape(live.size, 2 * n)
         best = cand.min(axis=1)
         improved = best < vals[live]
         moved = live[improved]
@@ -319,59 +374,76 @@ def _try_exact_witness(matrix: MDeltaMatrix, x: np.ndarray):
     return None
 
 
-def certify_face(
-    matrix: MDeltaMatrix, cfg: CertifyConfig = CertifyConfig(), face_index: int = 0
-) -> FaceCertificate:
-    """Search the torus for rank deficiency of one face matrix.
+def _certify_faces(
+    matrices: Sequence[MDeltaMatrix], indices: Sequence[int], cfg: CertifyConfig
+) -> list[FaceCertificate]:
+    """Search the torus for rank deficiency of several face matrices at once.
 
     Sampling covers every sign orthant of the unit sphere (rank patterns
     are orthant-sensitive over the reals) with a shrinking floor on
     ``min_j |x_j|``; each stage's best samples seed local descent under
-    that stage's floor, all stages' starts in one batch.  Scaling along
-    the quasi-homogeneous torus action only rescales the objective, so
-    restricting to ~unit vectors loses nothing.
+    that stage's floor.  Scaling along the quasi-homogeneous torus action
+    only rescales the objective, so restricting to ~unit vectors loses
+    nothing.
+
+    Each face draws from its own stream, ``SeedSequence(seed,
+    spawn_key=(index,))``, and its samples are evaluated one stage at a
+    time.  Then one descent runs every face's starts together, each row
+    with its face and its stage's floor.  Rows are independent, so every
+    face gets the certificate it gets when certified alone.
     """
-    comp = _CompiledMDelta(matrix)
+    if not matrices:
+        return []
+    comp = _RankTest(matrices)
     n = comp.n
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(face_index,)))
     orthants = list(itertools.product((1.0, -1.0), repeat=n))
     per_orthant = max(1, ceil(cfg.samples / len(orthants)))
+    schedule = cfg.tau_axis_schedule
 
-    samples_used = 0
     sample_best = []
     starts = []
-    for tau_axis in cfg.tau_axis_schedule:
-        blocks = []
-        for sigma in orthants:
-            g = np.abs(rng.standard_normal((per_orthant, n))) + 1e-12
-            u = g / np.linalg.norm(g, axis=1, keepdims=True)
-            u = np.maximum(u, tau_axis)
-            blocks.append(u * np.asarray(sigma))
-        X = np.vstack(blocks)
-        vals = comp.normalized(X)
-        samples_used += X.shape[0]
-        arg = int(vals.argmin())
-        sample_best.append((X[arg].copy(), vals[arg]))
-        starts.append(X[np.argsort(vals)[: cfg.multistarts]])
+    for face, index in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+        for tau_axis in schedule:
+            blocks = []
+            for sigma in orthants:
+                g = np.abs(rng.standard_normal((per_orthant, n))) + 1e-12
+                u = g / np.linalg.norm(g, axis=1, keepdims=True)
+                u = np.maximum(u, tau_axis)
+                blocks.append(u * np.asarray(sigma))
+            X = np.vstack(blocks)
+            vals = comp.normalized(X, face)
+            arg = int(vals.argmin())
+            sample_best.append((X[arg].copy(), vals[arg]))
+            starts.append(X[np.argsort(vals)[: cfg.multistarts]])
 
-    # One descent over every stage's starts, each row with its stage's floor.
+    # One descent over every face's and stage's starts.
     counts = [len(block) for block in starts]
-    floors = np.repeat(cfg.tau_axis_schedule, counts)[:, None]
-    refined_x, refined_vals = _descend(comp, np.vstack(starts), floors, cfg.descent_iters)
+    floors = np.repeat(np.tile(schedule, len(matrices)), counts)[:, None]
+    faces = np.repeat(np.repeat(np.arange(len(matrices)), len(schedule)), counts)
+    refined_x, refined_vals = _descend(comp, np.vstack(starts), floors, cfg.descent_iters, faces)
     bounds = np.cumsum(counts)[:-1]
+    stages = list(zip(sample_best, np.split(refined_x, bounds), np.split(refined_vals, bounds)))
 
-    # Stage by stage, the sample best and then the refined best, with strict
-    # comparisons, so that ties keep the earlier point.
-    best_val = np.inf
-    best_x = None
-    for (x, value), rx, rv in zip(
-        sample_best, np.split(refined_x, bounds), np.split(refined_vals, bounds)
-    ):
-        arg = int(rv.argmin())
-        for point, val in ((x, value), (rx[arg], rv[arg])):
-            if val < best_val:
-                best_val, best_x = float(val), point
+    samples = len(schedule) * len(orthants) * per_orthant
+    certificates = []
+    for face, (matrix, index) in enumerate(zip(matrices, indices)):
+        # Stage by stage, the sample best and then the refined best, with
+        # strict comparisons, so that ties keep the earlier point.
+        best_val = np.inf
+        best_x = None
+        for (x, value), rx, rv in stages[face * len(schedule) : (face + 1) * len(schedule)]:
+            arg = int(rv.argmin())
+            for point, val in ((x, value), (rx[arg], rv[arg])):
+                if val < best_val:
+                    best_val, best_x = float(val), point
+        certificates.append(_certificate(matrix, index, best_val, best_x, samples, cfg))
+    return certificates
 
+
+def _certificate(
+    matrix: MDeltaMatrix, index: int, best_val: float, best_x, samples: int, cfg: CertifyConfig
+) -> FaceCertificate:
     witness = None
     witness_exact = None
     if best_val <= cfg.tau_zero:
@@ -389,15 +461,23 @@ def certify_face(
     else:
         status = "nondegenerate_probable"
     return FaceCertificate(
-        face_index=face_index,
+        face_index=index,
         support=matrix.face.support_points,
         status=status,
         objective_min=best_val,
         witness=witness,
         witness_exact=witness_exact,
-        samples=samples_used,
+        samples=samples,
         seed=cfg.seed,
     )
+
+
+def certify_face(
+    matrix: MDeltaMatrix, cfg: CertifyConfig = CertifyConfig(), face_index: int = 0
+) -> FaceCertificate:
+    """Search the torus for rank deficiency of one face matrix: the
+    one-face case of the search ``certify_system`` runs over every face."""
+    return _certify_faces((matrix,), (face_index,), cfg)[0]
 
 
 def certify_system(
@@ -413,10 +493,8 @@ def certify_system(
     """
     if geometry is None:
         geometry = analyze_system(system)
-    faces = tuple(
-        certify_face(build_m_delta(system, face), cfg, face_index=index)
-        for index, face in enumerate(geometry.faces)
-    )
+    matrices = [build_m_delta(system, face) for face in geometry.faces]
+    faces = tuple(_certify_faces(matrices, range(len(matrices)), cfg))
 
     if any(f.status == "degenerate" for f in faces):
         status = "degenerate"

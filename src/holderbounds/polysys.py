@@ -556,18 +556,33 @@ class _CompiledMap:
 
     Row k of ``exps`` is the k-th monomial of the union and ``coeffs[k, i]``
     its coefficient in polynomial i (0.0 where i lacks it).
+
+    Monomials come from per-variable integer-power ladders, with no
+    ``pow``: x^0 = 1, x^1 = x and x^e = x^(e//2) * x^(e - e//2), and
+    x^kappa multiplies its variables' rungs in variable order.  So the
+    bits of x^kappa depend on kappa and x alone, never on the rest of the
+    support or of the batch.  (numpy's float ``pow`` costs about 70 ns an
+    entry on negative bases; a multiply costs about 1 ns.)
     """
 
     def __init__(self, polys: Sequence[Polynomial], nvars: int):
         support = sorted(set().union(*(f.terms for f in polys)))
         self.nvars = nvars
         self.exps = np.array(support, dtype=np.int64).reshape(-1, nvars)
-        # Float powers: numpy's float power takes float exponents anyway, so
-        # casting once here changes no bit.
-        self._powers = self.exps.astype(float)
-        self.coeffs = np.array(
-            [[float(f.terms.get(e, 0)) for f in polys] for e in support]
-        ).reshape(-1, len(polys))
+        self._set_coeffs(
+            np.array([[float(f.terms.get(e, 0)) for f in polys] for e in support]).reshape(-1, len(polys))
+        )
+        # Rung e of the ladder and the two lower rungs whose product it is.
+        top = int(self.exps.max(initial=1))
+        self._rungs = [(e, e // 2, e - e // 2) for e in range(2, top + 1)]
+        self._monomials = _monomial_program(support, nvars, self._rungs)
+
+    def _set_coeffs(self, coeffs: np.ndarray) -> None:
+        self.coeffs = coeffs
+        # einsum adds in support order over two or more columns; over one
+        # it may take a SIMD loop whose partial sums depend on the layout,
+        # so a lone polynomial is contracted beside a zero column.
+        self._weights = coeffs if coeffs.shape[1] > 1 else np.hstack([coeffs, 0 * coeffs])
 
     def _points(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -578,19 +593,29 @@ class _CompiledMap:
         return X
 
     def table(self, X) -> np.ndarray:
-        """x^kappa for every row x of X and every kappa of the support."""
+        """x^kappa for every kappa of the support (rows) and every row x of
+        X (columns): monomial-major, so each monomial is one contiguous row."""
         X = np.atleast_2d(self._points(X))
-        return (X[:, None, :] ** self._powers[None, :, :]).prod(axis=2)
+        ladder = np.empty((len(self._rungs) + 2, self.nvars, X.shape[0]))
+        ladder[0] = 1.0
+        ladder[1] = X.T
+        for e, lo, hi in self._rungs:
+            np.multiply(ladder[lo], ladder[hi], out=ladder[e])
+        out = ladder[self.exps[:, 0], 0]
+        for j in range(1, self.nvars):
+            out *= ladder[self.exps[:, j], j]
+        return out
 
     def contract(self, table: np.ndarray) -> np.ndarray:
-        """Every polynomial from a monomial table, each row on its own.
+        """Every polynomial (columns) at every point (rows) from a table.
 
-        ``einsum`` sums a row in the same order whatever else shares the
-        call; a BLAS product does not (gemm's blocking depends on the
-        batch, and a one-row product goes to gemv), so a point alone and
-        the same point inside any batch would round differently.
+        ``einsum`` sums each entry over the monomials in support order,
+        whatever else shares the call; a BLAS product does not (gemm's
+        blocking depends on the batch, and a one-row product goes to
+        gemv), so a point alone and the same point inside any batch would
+        round differently.
         """
-        return _einsum("mk,kj->mj", table, self.coeffs)
+        return _einsum("km,kj->jm", table, self._weights)[: self.coeffs.shape[1]].T
 
     def split(self, stop: int) -> tuple["_CompiledMap", "_CompiledMap"]:
         """Two maps over this support: polynomials [0, stop) and [stop, ...).
@@ -600,8 +625,8 @@ class _CompiledMap:
         the columns it needs.
         """
         head, tail = copy.copy(self), copy.copy(self)
-        head.coeffs = np.ascontiguousarray(self.coeffs[:, :stop])
-        tail.coeffs = np.ascontiguousarray(self.coeffs[:, stop:])
+        head._set_coeffs(np.ascontiguousarray(self.coeffs[:, :stop]))
+        tail._set_coeffs(np.ascontiguousarray(self.coeffs[:, stop:]))
         return head, tail
 
     def __call__(self, X) -> np.ndarray:
@@ -610,8 +635,32 @@ class _CompiledMap:
     def one(self, x) -> np.ndarray:
         """All polynomials at one point (no batch axis); the same bits as
         that point's row in any batch."""
-        row = (self._points(x) ** self._powers).prod(axis=1)
-        return _einsum("k,kj->j", row, self.coeffs)
+        row = np.array(self._monomials(self._points(x).tolist()), dtype=float)
+        return _einsum("k,kj->j", row, self._weights)[: self.coeffs.shape[1]]
+
+
+def _monomial_program(support: Sequence[Exponent], nvars: int, rungs):
+    """A function from one point's coordinates (a list of floats) to its
+    monomials over ``support``, by the ladder rule of ``_CompiledMap``.
+
+    It is straight-line Python generated once per map: Python floats round
+    each multiply as numpy does, without numpy's microsecond per call,
+    which is most of the cost of one single-point evaluation.  A factor
+    x_j^0 = 1 is left out, which changes no bit of the product.
+    """
+
+    def rung(j: int, e: int) -> str:
+        return f"x{j}" if e == 1 else f"x{j}_{e}"
+
+    lines = ["".join(f"{rung(j, 1)}, " for j in range(nvars)) + "= x"]
+    lines += [f"{rung(j, e)} = {rung(j, lo)} * {rung(j, hi)}" for j in range(nvars) for e, lo, hi in rungs]
+    monomials = [
+        " * ".join(rung(j, e) for j, e in enumerate(kappa) if e) or "1.0" for kappa in support
+    ]
+    lines.append(f"return [{', '.join(monomials)}]")
+    namespace: dict = {}
+    exec("def monomials(x):\n    " + "\n    ".join(lines), namespace)
+    return namespace["monomials"]
 
 
 def principal_part(f: Polynomial, face_support: Iterable[Exponent]) -> Polynomial:

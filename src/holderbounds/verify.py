@@ -86,7 +86,7 @@ class _CompiledSystem:
         """
         table = self._map.table(X)
         hess = self._hess.contract(table).reshape(-1, self.p, self.n, self.n)
-        gauge = self._split(np.einsum("mk,kj->mj", np.abs(table), self._gauge))
+        gauge = self._split(np.einsum("km,kj->mj", np.abs(table), self._gauge))
         return self._split(self._map.contract(table)) + (hess, gauge)
 
     def one(self, x) -> tuple[np.ndarray, np.ndarray]:

@@ -18,14 +18,14 @@ from holderbounds.nondegen import (
     CertifyConfig,
     FaceCertificate,
     MDeltaMatrix,
-    _CompiledMDelta,
+    _certificate,
     _project_torus,
-    _try_exact_witness,
 )
-from holderbounds.polysys import rational_str
+
+from face_oracle import PerFaceMDelta
 
 
-def descend_per_stage(comp: _CompiledMDelta, starts: np.ndarray, tau_axis: float, iters: int):
+def descend_per_stage(comp: PerFaceMDelta, starts: np.ndarray, tau_axis: float, iters: int):
     """Batch adaptive-step coordinate descent with an axis-avoidance floor."""
     X = _project_torus(starts.copy(), tau_axis)
     vals = comp.normalized(X)
@@ -55,7 +55,7 @@ def certify_face_per_stage(
     matrix: MDeltaMatrix, cfg: CertifyConfig = CertifyConfig(), face_index: int = 0
 ) -> FaceCertificate:
     """``certify_face`` with one ``descend_per_stage`` call per ``tau_axis`` stage."""
-    comp = _CompiledMDelta(matrix)
+    comp = PerFaceMDelta(matrix)
     n = comp.n
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(face_index,)))
     orthants = list(itertools.product((1.0, -1.0), repeat=n))
@@ -86,29 +86,4 @@ def certify_face_per_stage(
             best_val = float(refined_vals[arg])
             best_x = refined_x[arg].copy()
 
-    witness = None
-    witness_exact = None
-    if best_val <= cfg.tau_zero:
-        exact = _try_exact_witness(matrix, best_x)
-        interior = float(np.min(np.abs(best_x))) >= cfg.witness_floor
-        if exact is not None or interior:
-            status = "degenerate"
-            witness = tuple(float(v) for v in best_x)
-            if exact is not None:
-                witness_exact = tuple(rational_str(c) for c in exact)
-        else:
-            status = "inconclusive"
-    elif best_val <= 10 * cfg.tau_zero:
-        status = "inconclusive"
-    else:
-        status = "nondegenerate_probable"
-    return FaceCertificate(
-        face_index=face_index,
-        support=matrix.face.support_points,
-        status=status,
-        objective_min=best_val,
-        witness=witness,
-        witness_exact=witness_exact,
-        samples=samples_used,
-        seed=cfg.seed,
-    )
+    return _certificate(matrix, face_index, best_val, best_x, samples_used, cfg)

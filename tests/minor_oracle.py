@@ -1,6 +1,6 @@
 """Reference evaluator for the rank-test objective: the minor loop.
 
-This is the evaluator ``nondegen._CompiledMDelta`` used before it moved
+This is the rank-test evaluator ``nondegen`` used before it moved
 to the Gram-Schmidt determinant.  It evaluates every cell of the matrix
 on its own and sums the squares of all C(n+p, p) maximal minors, so it
 follows the definition of the objective with no identity in between.

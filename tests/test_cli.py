@@ -211,6 +211,15 @@ def test_tau_flags_reach_certification(system_file, capsys):
         ["certify", "{path}", "--samples", "0"],
         ["analyze", "{path}", "--out", "{missing}"],
         ["certify", "{path}", "--workers", "2"],
+        ["certify", "{path}", "--seed", "-1"],
+        ["certify", "{path}", "--tau-axis", "nan"],
+        ["certify", "{path}", "--tau-axis", "0"],
+        ["certify", "{path}", "--tau-axis", "1"],
+        ["verify", "{path}", "--tau-axis", "-0.1"],
+        ["certify", "{path}", "--tau-zero", "nan"],
+        ["certify", "{path}", "--tau-zero", "0"],
+        ["certify", "{path}", "--tau-zero", "-1e-12"],
+        ["certify", "{path}", "--tau-zero", "inf"],
     ],
     ids=[
         "box-dimension",
@@ -221,6 +230,15 @@ def test_tau_flags_reach_certification(system_file, capsys):
         "samples-zero-certify",
         "out-missing-dir",
         "workers-removed",
+        "seed-negative",
+        "tau-axis-nan",
+        "tau-axis-zero",
+        "tau-axis-one",
+        "tau-axis-negative-verify",
+        "tau-zero-nan",
+        "tau-zero-zero",
+        "tau-zero-negative",
+        "tau-zero-inf",
     ],
 )
 def test_bad_input_exits_two_with_error_line(argv, system_file, tmp_path, capsys):

@@ -7,6 +7,7 @@ component and per partial), and both against exact rational evaluation.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from holderbounds.verify import _CompiledSystem
 
 from conftest import DEMO_SYSTEMS, random_convenient_system
 from evaluator_oracle import PerPolynomialSystem
+from face_oracle import pow_table
 
 
 def _systems():
@@ -141,3 +143,67 @@ def test_compiled_system_rows_do_not_depend_on_their_batch():
             one = comp.one(X[i])
             np.testing.assert_array_equal(one[0], values[i], err_msg=name)
             np.testing.assert_array_equal(one[1], jac[i], err_msg=name)
+
+
+def _ladder_cases():
+    """Random maps with exponents up to 8, and points with negative, zero,
+    tiny and large coordinates; every coordinate is a float, so the exact
+    value below is the value at the very point the map evaluates."""
+    rng = random.Random(8)
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e-3, -7e-4, 1234.5, -987.25, 2.0**20 + 1]
+    for case in range(40):
+        n = rng.randint(1, 4)
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 10)):
+                kappa = tuple(rng.randint(0, 8) for _ in range(n))
+                terms[kappa] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 3, 8, 10]))
+            polys.append(Polynomial(terms, n))
+        points = [
+            [rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-3.0, 3.0) for _ in range(n)]
+            for _ in range(12)
+        ]
+        yield case, _CompiledMap(polys, n), polys, np.array(points)
+
+
+def test_power_ladder_matches_exact_evaluation():
+    # Each monomial rounds at most once per multiply: (e - 1) times for a
+    # rung x^e, then once per further variable.  With the coefficient's
+    # rounding, its product and the sum over K monomials, an entry is off
+    # by at most (degree + K + 1) ulps of the gauge sum |c x^kappa|.
+    for case, cmap, polys, X in _ladder_cases():
+        degree = int(cmap.exps.sum(axis=1).max())
+        slack = degree + cmap.exps.shape[0] + 1
+        batch = cmap(X)
+        for i, (x, row) in enumerate(zip(X, batch)):
+            point = tuple(Fraction(v) for v in x)
+            np.testing.assert_array_equal(cmap.one(x), row, err_msg=f"case {case}")
+            np.testing.assert_array_equal(cmap(X[i : i + 1])[0], row, err_msg=f"case {case}")
+            for f, value in zip(polys, row):
+                exact = f.evaluate(point)
+                gauge = sum(abs(c) * abs(Polynomial({k: 1}, f.nvars).evaluate(point)) for k, c in f.terms.items())
+                assert abs(Fraction(float(value)) - exact) <= slack * Fraction(math.ulp(float(gauge))), (case, x)
+
+
+def test_power_ladder_zero_coordinates():
+    # x^0 = 1 even at x = 0 (verify evaluates on coordinate hyperplanes),
+    # and x^e = 0 for e >= 1.
+    f = parse_system("f1 = 3 + x^2*y^0 + y^8 - 2*x^3*y^5").polys[0]
+    cmap = _CompiledMap([f], 2)
+    for x in ([0.0, 0.0], [0.0, -1.5], [-0.0, 2.0], [1.25, 0.0]):
+        exact = float(f.evaluate(tuple(Fraction(v) for v in x)))
+        assert cmap.one(x)[0] == exact and cmap([x])[0, 0] == exact
+    table = cmap.table([[0.0, 0.0]])
+    assert table[:, 0].tolist() == [1.0 if not any(kappa) else 0.0 for kappa in cmap.exps.tolist()]
+
+
+def test_power_ladder_agrees_with_pow_table():
+    # The ladder and the pow table it replaced agree to the rounding of the
+    # ladder's multiplies: at most (degree - 1) ulps of each monomial.
+    for case, cmap, _, X in _ladder_cases():
+        ladder = cmap.table(X).T
+        old = pow_table(cmap.exps, X)
+        ulps = np.array([math.ulp(v) for v in np.abs(old).ravel()]).reshape(old.shape)
+        degree = cmap.exps.sum(axis=1)[None, :]
+        assert (np.abs(ladder - old) <= np.maximum(degree - 1, 0) * ulps).all(), case

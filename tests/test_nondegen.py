@@ -12,8 +12,8 @@ from holderbounds.cli import _axis_schedule
 from holderbounds.newton import analyze_system
 from holderbounds.nondegen import (
     CertifyConfig,
-    _CompiledMDelta,
     MissingDecompositionError,
+    _RankTest,
     _descend,
     _project_torus,
     build_m_delta,
@@ -163,10 +163,8 @@ def test_objective_scales_like_torus_action(half_disk, degenerate_pair):
 def test_objective_zero_iff_numerical_rank_drop(degenerate_pair):
     geometry = analyze_system(degenerate_pair)
     edge = _face_by_dim(geometry, 1)
-    from holderbounds.nondegen import _CompiledMDelta
-
     M = build_m_delta(degenerate_pair, edge)
-    comp = _CompiledMDelta(M)
+    comp = _RankTest((M,))
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, size=(1000, 2))
     X[np.abs(X) < 1e-3] = 1e-3
@@ -194,7 +192,7 @@ def test_gram_objective_matches_minor_oracle():
         rng = np.random.default_rng(seed)
         X = rng.uniform(0.2, 1.5, size=(64, system.n))
         X *= rng.choice([-1.0, 1.0], size=X.shape)
-        gram = _CompiledMDelta(M).normalized(X)
+        gram = _RankTest((M,)).normalized(X)
         minors = MinorLoopMDelta(M).normalized(X)
         assert (gram >= 0).all()
         np.testing.assert_allclose(gram, minors, rtol=1e-12, atol=0)
@@ -208,7 +206,7 @@ def test_compiled_matrices_match_exact_entries():
                 Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), 10)
                 for _ in range(system.n)
             )
-            got = _CompiledMDelta(M).matrices(np.array([float(v) for v in point]))[0]
+            got = _RankTest((M,)).matrices(np.array([float(v) for v in point]))[0]
             magnitude = tuple(abs(v) for v in point)
             for i, row in enumerate(M.entries):
                 for j, entry in enumerate(row):
@@ -262,7 +260,7 @@ def test_descend_exit_matches_full_descent():
     early = 0
     for index, system in enumerate(systems):
         for face in analyze_system(system).faces:
-            comp = _CompiledMDelta(build_m_delta(system, face))
+            comp = _RankTest((build_m_delta(system, face),))
             rng = np.random.default_rng(index)
             starts = rng.uniform(-1.0, 1.0, size=(8, system.n))
             column = np.repeat(floors, len(starts))[:, None]
@@ -284,7 +282,7 @@ def test_descend_rows_do_not_depend_on_their_batch():
     systems += [random_convenient_system(random.Random(seed), max_polys=3) for seed in (5, 6)]
     for index, system in enumerate(systems):
         for face in analyze_system(system).faces:
-            comp = _CompiledMDelta(build_m_delta(system, face))
+            comp = _RankTest((build_m_delta(system, face),))
             rng = np.random.default_rng(100 + index)
             starts = rng.uniform(-1.0, 1.0, size=(9, system.n))
             column = rng.choice([1e-1, 1e-2, 1e-3], size=(9, 1))
@@ -366,6 +364,34 @@ def test_certify_config_needs_an_axis_floor():
     # Without a stage there would be no sample and no descent to report.
     with pytest.raises(ValueError, match="tau_axis_schedule"):
         CertifyConfig(tau_axis_schedule=())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("samples", 0),
+        ("samples", -5),
+        ("multistarts", 0),
+        ("descent_iters", -1),
+        ("tau_zero", 0.0),
+        ("tau_zero", -1e-12),
+        ("tau_zero", float("nan")),
+        ("tau_zero", float("inf")),
+        ("tau_axis_schedule", (1e-1, 0.0)),
+        ("tau_axis_schedule", (1.0,)),
+        ("tau_axis_schedule", (float("nan"),)),
+    ],
+)
+def test_certify_config_rejects_bad_values(field, value):
+    # samples=-5 used to draw one sample per orthant, multistarts=0 died
+    # in numpy's argmin and a NaN floor certified every face.
+    with pytest.raises(ValueError, match=field):
+        CertifyConfig(**{field: value})
+
+
+def test_certify_config_accepts_edge_values():
+    cfg = CertifyConfig(samples=1, multistarts=1, descent_iters=0, tau_axis_schedule=(0.999,))
+    assert certify_system(parse_system("f = x^2 + y^2"), cfg).status == "nondegenerate_probable"
 
 
 def test_certify_reports_missing_convenience():
