@@ -11,13 +11,21 @@ Rank deficiency is searched numerically through the sum of squared
 maximal minors, normalised by per-row monomial gauges to remove the
 quasi-homogeneous scale freedom.  By Cauchy-Binet that sum equals
 det(M M^T), which is evaluated as the product of the squared residual
-norms that modified Gram-Schmidt leaves on the p rows: one p-step loop,
-vectorised over the batch, instead of C(n+p, p) determinants.
+norms that modified Gram-Schmidt leaves on the p rows: one p-step loop
+instead of C(n+p, p) determinants.
 ``np.linalg.det(M @ M.T)`` is not used: forming M M^T squares the
 condition number, so at exactly rank-deficient points it returns
 roundoff near 1e-13, some of it negative, where the minors and
 Gram-Schmidt give about 1e-29.  Batched QR keeps the precision but ran
 1.7 to 2.7 times slower than Gram-Schmidt at batches of 96 to 4096.
+
+The search is coordinate-major: points are the columns of an (n, m)
+array and a matrix row is an (n + p, m) array, so each per-point dot
+product or norm over n + p (or n) entries is a few multiply-adds of
+m-vectors, where a point-major ``sum(axis=1)`` over a row that short is
+slow.  ``_row_sum`` groups those adds as numpy groups a sum along a
+contiguous row, and every other step is elementwise, so each objective,
+projection and descent step has the bits the point-major layout gave.
 
 Each face is sampled from its own random stream, in one stage per
 ``tau_axis`` floor, one face and stage at a time.  Then one batched
@@ -129,7 +137,8 @@ class _RankTest:
     that face's monomials.  A masked monomial adds an exact zero to sums
     taken in support order, so a face's entries and gauges have the same
     bits as on its own support, whichever faces share the evaluator or
-    the batch.  Points carry the index of their face.
+    the batch.  Points are the columns of an (n, m) coordinate array and
+    carry the index of their face.
     """
 
     def __init__(self, matrices: Sequence[MDeltaMatrix]):
@@ -149,10 +158,13 @@ class _RankTest:
         # A vanishing principal part forces rank < p outright.
         self.zero_row = np.array([any(not part.terms for part in face) for face in parts])
 
-    def _evaluate(self, X: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
-        """Matrices at X and the squared product of the row gauges.
+    def _evaluate(self, X: np.ndarray, faces) -> tuple[list[np.ndarray], np.ndarray]:
+        """The rows of the matrices at the points X, and the squared
+        product of the row gauges.
 
-        The gauge g_i(x) = sum over supp(f_i_face) of |x^kappa| bounds every
+        Row i is the (n + 1, m) block of its Euler terms and its principal
+        part, which stands in column n + i of the matrix.  The gauge
+        g_i(x) = sum over supp(f_i_face) of |x^kappa| bounds every
         entry of row i up to a constant, so every maximal minor is bounded
         by a constant times prod_i g_i; dividing the objective by
         prod_i g_i^2 removes per-row scale.  On a monomial row the ratio is
@@ -160,39 +172,39 @@ class _RankTest:
         a coordinate hyperplane (which never leaves the full-rank locus)
         cannot masquerade as degeneracy.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = self.n
-        mats = np.zeros((X.shape[0], self.p, n + self.p))
-        scale = np.ones(X.shape[0])
-        for i, (row, mask) in enumerate(zip(self.rows, self.masks)):
+        rows = []
+        scale = np.ones(X.shape[1])
+        for row, mask in zip(self.rows, self.masks):
             table = row.table(X)
             table *= mask[:, np.atleast_1d(faces)]
-            values = row.contract(table)
-            mats[:, i, :n] = values[:, :n]
-            mats[:, i, n + i] = values[:, n]
+            # contract views einsum's (n + 1, m) output point-major; .T undoes that view.
+            rows.append(row.contract(table).T)
             scale *= _gauge(table) ** 2
-        return mats, scale
+        return rows, scale
 
     def matrices(self, X: np.ndarray, faces=0) -> np.ndarray:
-        return self._evaluate(X, faces)[0]
+        """The (p, n + p, m) matrices at the points X."""
+        rows = self._evaluate(np.asarray(X, dtype=float), faces)[0]
+        return np.stack([_dense_row(row, i, self.n, self.p) for i, row in enumerate(rows)])
 
     def raw_objective(self, X: np.ndarray, faces=0) -> np.ndarray:
-        return _gram_determinant(self.matrices(X, faces))
+        return _gram_determinant(self._evaluate(np.asarray(X, dtype=float), faces)[0], self.n)
 
     def normalized(self, X: np.ndarray, faces=0) -> np.ndarray:
         """Minor objective divided by the squared product of row gauges.
 
-        ``faces`` is one face index for every point, or one per point.
+        X holds one point per column; ``faces`` is one face index for
+        every point, or one per point.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], _BATCH_ROWS):
-            rows = slice(start, start + _BATCH_ROWS)
-            chunk = faces[rows] if np.ndim(faces) else faces
-            mats, scale = self._evaluate(X[rows], chunk)
-            det = _gram_determinant(mats)
+        X = np.asarray(X, dtype=float)
+        out = np.empty(X.shape[1])
+        for start in range(0, X.shape[1], _BATCH_ROWS):
+            cols = slice(start, start + _BATCH_ROWS)
+            chunk = faces[cols] if np.ndim(faces) else faces
+            rows, scale = self._evaluate(X[:, cols], chunk)
+            det = _gram_determinant(rows, self.n)
             zero = self.zero_row[chunk]
-            out[rows] = np.divide(det, scale, out=np.zeros_like(det), where=~zero)
+            out[cols] = np.divide(det, scale, out=np.zeros_like(det), where=~zero)
         return out
 
 
@@ -209,29 +221,73 @@ def _gauge(table: np.ndarray) -> np.ndarray:
     return gauge
 
 
-def _gram_determinant(mats: np.ndarray) -> np.ndarray:
-    """det(M M^T) per matrix, as the product of squared Gram-Schmidt residuals."""
-    det = np.ones(mats.shape[0])
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, with the bits ``np.sum`` gives along a
+    contiguous last axis: the sum of k terms at each point, as vector adds.
+
+    numpy adds a row's pairwise sum to 0.0.  Fewer than 8 terms it adds
+    one after another.  From 8 to 128 it keeps 8 accumulators (term t goes
+    to accumulator t mod 8 up to the last full block of 8), combines them
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest
+    one at a time; past 128 it adds the pairwise sums of the two halves,
+    split at half the terms rounded down to a multiple of 8.
+    """
+    k = terms.shape[0]
+    if k < 8:
+        total = np.zeros(terms.shape[1:])
+        for term in terms:
+            total += term
+        return total
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    stop = k - k % 8
+    r = terms[:8].copy()
+    for block in range(8, stop, 8):
+        r += terms[block : block + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[stop:]:
+        total += term
+    # 0.0 + total: only -0.0 changes, to 0.0.
+    return total + 0.0
+
+
+def _dense_row(row: np.ndarray, i: int, n: int, p: int) -> np.ndarray:
+    """Row i of the matrices as an (n + p, m) array, from its (n + 1, m) block."""
+    v = np.zeros((n + p, row.shape[1]))
+    v[:n] = row[:n]
+    v[n + i] = row[n]
+    return v
+
+
+def _gram_determinant(rows: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """det(M M^T) per point, as the product of squared Gram-Schmidt residuals.
+
+    ``rows`` are the p row blocks of ``_RankTest._evaluate``; each row is
+    one (n + p, m) array, so every dot product and norm over the n + p
+    columns is a ``_row_sum`` of m-vectors.
+    """
+    det = np.ones(rows[0].shape[1])
     basis = []
-    for i in range(mats.shape[1]):
-        v = mats[:, i, :].copy()
+    for i, row in enumerate(rows):
+        v = _dense_row(row, i, n, len(rows))
         for q in basis:
-            v -= (v * q).sum(axis=1, keepdims=True) * q
-        norm2 = (v * v).sum(axis=1)
+            v -= _row_sum(v * q) * q
+        norm2 = _row_sum(v * v)
         det *= norm2
-        norm = np.sqrt(norm2)[:, None]
+        norm = np.sqrt(norm2)
         basis.append(np.divide(v, norm, out=np.zeros_like(v), where=norm > 0))
     return det
 
 
 def minor_norm_objective(matrix: MDeltaMatrix, x: Sequence[float]) -> float:
     """Sum over all p x p minors of minor(x)^2; zero iff the rank drops at x."""
-    return float(_RankTest((matrix,)).raw_objective(np.asarray(x, dtype=float))[0])
+    return float(_RankTest((matrix,)).raw_objective(np.asarray(x, dtype=float)[:, None])[0])
 
 
 def normalized_minor_objective(matrix: MDeltaMatrix, x: Sequence[float]) -> float:
     """Scale-free minor objective: raw objective over squared row gauges."""
-    return float(_RankTest((matrix,)).normalized(np.asarray(x, dtype=float))[0])
+    return float(_RankTest((matrix,)).normalized(np.asarray(x, dtype=float)[:, None])[0])
 
 
 # -- search ------------------------------------------------------------------------
@@ -259,6 +315,10 @@ class CertifyConfig:
             )
         if not (math.isfinite(self.tau_zero) and self.tau_zero > 0):
             raise ValueError(f"tau_zero must be finite and positive, got {self.tau_zero}")
+        # NaN would turn every numerical witness inconclusive, and a
+        # negative floor would call every one interior.
+        if not 0 <= self.witness_floor < 1:
+            raise ValueError(f"witness_floor must be finite and in [0, 1), got {self.witness_floor}")
         for name in ("samples", "multistarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -311,9 +371,12 @@ class NondegVerdict:
 
 
 def _project_torus(Y: np.ndarray, tau_axis: float | np.ndarray) -> np.ndarray:
+    """Points pushed off the coordinate hyperplanes to ``tau_axis``, with
+    their norms clipped into [0.5, 2]; Y[j] holds coordinate j of every
+    point, in an array of any shape."""
     sign = np.where(Y >= 0, 1.0, -1.0)
     Y = sign * np.maximum(np.abs(Y), tau_axis)
-    norms = np.linalg.norm(Y, axis=-1, keepdims=True)
+    norms = np.sqrt(_row_sum(Y * Y))
     Y = Y * (np.clip(norms, 0.5, 2.0) / norms)
     sign = np.where(Y >= 0, 1.0, -1.0)
     return sign * np.maximum(np.abs(Y), tau_axis)
@@ -322,40 +385,43 @@ def _project_torus(Y: np.ndarray, tau_axis: float | np.ndarray) -> np.ndarray:
 def _descend(comp: _RankTest, starts: np.ndarray, tau_axis, iters: int, faces=0):
     """Batch adaptive-step coordinate descent with an axis-avoidance floor.
 
-    ``tau_axis`` is a scalar or a per-row column of shape (rows, 1), and
-    ``faces`` a face index or one per row.  Every row descends on its
+    ``starts`` holds one point per row, ``tau_axis`` is a scalar or a
+    per-row column of shape (rows, 1), and ``faces`` a face index or one
+    per row; the points come back one per row.  Every row descends on its
     own: its trajectory does not depend on which rows share the batch.
     A row that fails to improve with its step at the 1e-12 floor sits at
     a fixed point (every later iteration would repeat its proposals), so
     it leaves the live set; the descent ends when no row is live or after
     ``iters`` iterations.
     """
-    floor = np.broadcast_to(tau_axis, (starts.shape[0], 1))
+    floor = np.broadcast_to(tau_axis, (starts.shape[0], 1))[:, 0]
     faces = np.broadcast_to(faces, starts.shape[:1])
-    X = _project_torus(starts, floor)
+    X = _project_torus(np.ascontiguousarray(starts, dtype=float).T, floor)
     vals = comp.normalized(X, faces)
-    steps = np.full(X.shape[0], 0.25)
-    live = np.arange(X.shape[0])
+    steps = np.full(X.shape[1], 0.25)
+    live = np.arange(X.shape[1])
     n = comp.n
+    axes = np.arange(n)
     for _ in range(iters):
         step = steps[live]
-        proposals = np.repeat(X[live][:, None, :], 2 * n, axis=1)
-        for j in range(n):
-            proposals[:, 2 * j, j] += step
-            proposals[:, 2 * j + 1, j] -= step
-        proposals = _project_torus(proposals, floor[live][:, :, None])
-        cand = comp.normalized(proposals.reshape(-1, n), np.repeat(faces[live], 2 * n))
+        # Proposal 2j (2j + 1) of a live row moves its coordinate j up
+        # (down) by its step: column (row, proposal) of an (n, live, 2n) array.
+        proposals = np.repeat(X[:, live], 2 * n, axis=1).reshape(n, live.size, 2 * n)
+        proposals[axes, :, 2 * axes] += step
+        proposals[axes, :, 2 * axes + 1] -= step
+        proposals = _project_torus(proposals, floor[live][:, None])
+        cand = comp.normalized(proposals.reshape(n, -1), np.repeat(faces[live], 2 * n))
         cand = cand.reshape(live.size, 2 * n)
         best = cand.min(axis=1)
         improved = best < vals[live]
         moved = live[improved]
-        X[moved] = proposals[improved, cand.argmin(axis=1)[improved]]
+        X[:, moved] = proposals[:, improved, cand.argmin(axis=1)[improved]]
         vals[moved] = best[improved]
         steps[live] = np.maximum(np.where(improved, step * 1.4, step * 0.6), 1e-12)
         live = live[improved | (step > 1e-12)]
         if live.size == 0:
             break
-    return X, vals
+    return X.T, vals
 
 
 def exact_rank_deficient(matrix: MDeltaMatrix, point: Sequence[Fraction]) -> bool:
@@ -398,6 +464,8 @@ def _certify_faces(
     n = comp.n
     orthants = list(itertools.product((1.0, -1.0), repeat=n))
     per_orthant = max(1, ceil(cfg.samples / len(orthants)))
+    # The sign of every sample's coordinates, orthant after orthant.
+    signs = np.repeat(np.array(orthants).T, per_orthant, axis=1)
     schedule = cfg.tau_axis_schedule
 
     sample_best = []
@@ -405,17 +473,14 @@ def _certify_faces(
     for face, index in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
         for tau_axis in schedule:
-            blocks = []
-            for sigma in orthants:
-                g = np.abs(rng.standard_normal((per_orthant, n))) + 1e-12
-                u = g / np.linalg.norm(g, axis=1, keepdims=True)
-                u = np.maximum(u, tau_axis)
-                blocks.append(u * np.asarray(sigma))
-            X = np.vstack(blocks)
+            # One draw for every orthant: the stream fills it point by
+            # point, as one draw per orthant would.
+            g = np.abs(rng.standard_normal((signs.shape[1], n))).T + 1e-12
+            X = np.maximum(g / np.sqrt(_row_sum(g * g)), tau_axis) * signs
             vals = comp.normalized(X, face)
             arg = int(vals.argmin())
-            sample_best.append((X[arg].copy(), vals[arg]))
-            starts.append(X[np.argsort(vals)[: cfg.multistarts]])
+            sample_best.append((X[:, arg].copy(), vals[arg]))
+            starts.append(X[:, np.argsort(vals)[: cfg.multistarts]].T)
 
     # One descent over every face's and stage's starts.
     counts = [len(block) for block in starts]
@@ -425,7 +490,7 @@ def _certify_faces(
     bounds = np.cumsum(counts)[:-1]
     stages = list(zip(sample_best, np.split(refined_x, bounds), np.split(refined_vals, bounds)))
 
-    samples = len(schedule) * len(orthants) * per_orthant
+    samples = len(schedule) * signs.shape[1]
     certificates = []
     for face, (matrix, index) in enumerate(zip(matrices, indices)):
         # Stage by stage, the sample best and then the refined best, with

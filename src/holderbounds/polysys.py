@@ -593,12 +593,18 @@ class _CompiledMap:
         return X
 
     def table(self, X) -> np.ndarray:
-        """x^kappa for every kappa of the support (rows) and every row x of
-        X (columns): monomial-major, so each monomial is one contiguous row."""
-        X = np.atleast_2d(self._points(X))
-        ladder = np.empty((len(self._rungs) + 2, self.nvars, X.shape[0]))
+        """x^kappa for every kappa of the support (rows) and every point
+        (columns), from coordinates X of shape (n, m) whose column i is
+        point i: monomial-major, so each monomial is one contiguous row.
+        A batch of points held one per row is passed as ``X.T``."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.nvars:
+            raise ValueError(
+                f"coordinates of shape {X.shape} for a {self.nvars}-variable system"
+            )
+        ladder = np.empty((len(self._rungs) + 2, self.nvars, X.shape[1]))
         ladder[0] = 1.0
-        ladder[1] = X.T
+        ladder[1] = X
         for e, lo, hi in self._rungs:
             np.multiply(ladder[lo], ladder[hi], out=ladder[e])
         out = ladder[self.exps[:, 0], 0]
@@ -630,7 +636,8 @@ class _CompiledMap:
         return head, tail
 
     def __call__(self, X) -> np.ndarray:
-        return self.contract(self.table(X))
+        """Every polynomial (columns) at every row of X."""
+        return self.contract(self.table(np.atleast_2d(self._points(X)).T))
 
     def one(self, x) -> np.ndarray:
         """All polynomials at one point (no batch axis); the same bits as

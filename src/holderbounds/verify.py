@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .bounds import ExponentReport
 from .polysys import PolySystem, _CompiledMap, rational_str
@@ -46,6 +45,16 @@ from .polysys import PolySystem, _CompiledMap, rational_str
 
 class FeasibleSetEmptyError(RuntimeError):
     """No feasible point was found within the search budget."""
+
+
+def _minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: loading scipy
+    costs more than half a second and tens of MB, which importing
+    ``holderbounds`` for anything but a distance or goodness search would
+    pay for nothing."""
+    from scipy import optimize
+
+    return optimize.minimize(*args, **kwargs)
 
 
 # -- compiled float views ----------------------------------------------------------
@@ -84,7 +93,7 @@ class _CompiledSystem:
         every term c x^kappa replaced by |c x^kappa|: the scale of the
         rounding error in each entry.
         """
-        table = self._map.table(X)
+        table = self._map.table(np.atleast_2d(X).T)
         hess = self._hess.contract(table).reshape(-1, self.p, self.n, self.n)
         gauge = self._split(np.einsum("km,kj->mj", np.abs(table), self._gauge))
         return self._split(self._map.contract(table)) + (hess, gauge)
@@ -243,7 +252,7 @@ class DistanceOracle:
         for idx in order[: max(16, cfg.multistarts)]:
             start = draws[idx]
             if scores[idx] > 0:
-                res = optimize.minimize(
+                res = _minimize(
                     self._violation,
                     start,
                     jac=True,
@@ -436,7 +445,7 @@ class DistanceOracle:
             "fun": lambda a: -at(a)[0],
             "jac": lambda a: -at(a)[1],
         }
-        res = optimize.minimize(
+        res = _minimize(
             objective,
             start,
             jac=True,
@@ -456,7 +465,7 @@ class DistanceOracle:
                 pos = np.maximum(values, 0.0)
                 return float(d @ d + mu * (pos**2).sum()), 2.0 * d + 2.0 * mu * pos @ jac
 
-            res = optimize.minimize(
+            res = _minimize(
                 objective, a, jac=True, method="L-BFGS-B",
                 options={"maxiter": 150},
             )
@@ -824,7 +833,7 @@ def probe_goodness(
 
         order = np.argsort(np.where(np.isnan(slopes), np.inf, slopes))
         for start in order[:refine_starts]:
-            res = optimize.minimize(
+            res = _minimize(
                 sphere_slope,
                 U[start],
                 method="Nelder-Mead",

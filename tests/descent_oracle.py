@@ -19,10 +19,10 @@ from holderbounds.nondegen import (
     FaceCertificate,
     MDeltaMatrix,
     _certificate,
-    _project_torus,
 )
 
 from face_oracle import PerFaceMDelta
+from layout_oracle import _project_torus
 
 
 def descend_per_stage(comp: PerFaceMDelta, starts: np.ndarray, tau_axis: float, iters: int):

@@ -4,8 +4,9 @@
 evaluator served every face of a system: one compiled map per row over
 that face's own support, with no masks.  It evaluates with the same
 kernel (power-ladder table, einsum contraction, gauge summed monomial by
-monomial), so ``certify_system_face_by_face``, which certifies one face
-after another through it, must give ``certify_system`` bit for bit.
+monomial), on points held one per row as ``layout_oracle`` keeps them, so
+``certify_system_face_by_face``, which certifies one face after another
+through it, must give ``certify_system`` bit for bit.
 
 ``pow_table`` is the monomial table ``polysys._CompiledMap`` built before
 the power ladder: numpy's float ``pow``, one call per entry.
@@ -25,12 +26,12 @@ from holderbounds.nondegen import (
     MDeltaMatrix,
     NondegVerdict,
     _certificate,
-    _descend,
     _gauge,
-    _gram_determinant,
     build_m_delta,
 )
 from holderbounds.polysys import _CompiledMap
+
+from layout_oracle import _descend, _gram_determinant
 
 
 def pow_table(exps: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -56,7 +57,7 @@ class PerFaceMDelta:
         mats = np.zeros((X.shape[0], self.p, n + self.p))
         scale = np.ones(X.shape[0])
         for i, row in enumerate(self.rows):
-            table = row.table(X)
+            table = row.table(X.T)
             values = row.contract(table)
             mats[:, i, :n] = values[:, :n]
             mats[:, i, n + i] = values[:, n]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from holderbounds.cli import main
 
 from conftest import (
     DEGENERATE_PAIR_TEXT,
+    DEMO_SYSTEMS,
     HALF_DISK_TEXT,
     SPHERE_CUBIC_TEXT,
 )
@@ -247,3 +251,24 @@ def test_bad_input_exits_two_with_error_line(argv, system_file, tmp_path, capsys
     argv = [a.format(path=path, missing=missing) for a in argv]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_and_certify_never_import_scipy():
+    # Only verify's SLSQP projections need scipy.optimize, which costs more
+    # than half a second to import and tens of MB of memory.
+    script = (
+        "import sys\n"
+        "import holderbounds\n"
+        "from holderbounds.cli import RunConfig, run\n"
+        "for command in ('analyze', 'certify'):\n"
+        "    run(RunConfig(command=command, input_path=sys.argv[1], output_format='json'))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(DEMO_SYSTEMS[0])],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -194,7 +194,7 @@ def test_power_ladder_zero_coordinates():
     for x in ([0.0, 0.0], [0.0, -1.5], [-0.0, 2.0], [1.25, 0.0]):
         exact = float(f.evaluate(tuple(Fraction(v) for v in x)))
         assert cmap.one(x)[0] == exact and cmap([x])[0, 0] == exact
-    table = cmap.table([[0.0, 0.0]])
+    table = cmap.table([[0.0], [0.0]])
     assert table[:, 0].tolist() == [1.0 if not any(kappa) else 0.0 for kappa in cmap.exps.tolist()]
 
 
@@ -202,7 +202,7 @@ def test_power_ladder_agrees_with_pow_table():
     # The ladder and the pow table it replaced agree to the rounding of the
     # ladder's multiplies: at most (degree - 1) ulps of each monomial.
     for case, cmap, _, X in _ladder_cases():
-        ladder = cmap.table(X).T
+        ladder = cmap.table(X.T).T
         old = pow_table(cmap.exps, X)
         ulps = np.array([math.ulp(v) for v in np.abs(old).ravel()]).reshape(old.shape)
         degree = cmap.exps.sum(axis=1)[None, :]

@@ -15,7 +15,6 @@ from holderbounds.nondegen import (
     MissingDecompositionError,
     _RankTest,
     _descend,
-    _project_torus,
     build_m_delta,
     certify_face,
     certify_system,
@@ -28,6 +27,7 @@ from holderbounds.polysys import Polynomial, PolySystem, parse_system
 
 from conftest import DEMO_SYSTEMS, random_convenient_system
 from descent_oracle import certify_face_per_stage
+from layout_oracle import PointMajorRankTest, _project_torus
 from minor_oracle import MinorLoopMDelta
 
 FAST = CertifyConfig(samples=512, multistarts=8, descent_iters=80, seed=42)
@@ -170,10 +170,10 @@ def test_objective_zero_iff_numerical_rank_drop(degenerate_pair):
     X[np.abs(X) < 1e-3] = 1e-3
     # Plant rank-deficient points on the line x = y.
     X[::10, 1] = X[::10, 0]
-    mats = comp.matrices(X)
-    normalized = comp.normalized(X)
+    mats = comp.matrices(X.T)
+    normalized = comp.normalized(X.T)
     for i in range(X.shape[0]):
-        sv = np.linalg.svd(mats[i], compute_uv=False)
+        sv = np.linalg.svd(mats[..., i], compute_uv=False)
         rank = int((sv > 1e-9 * sv[0]).sum()) if sv[0] > 0 else 0
         assert (rank < M.p) == bool(normalized[i] < 1e-18)
 
@@ -192,7 +192,7 @@ def test_gram_objective_matches_minor_oracle():
         rng = np.random.default_rng(seed)
         X = rng.uniform(0.2, 1.5, size=(64, system.n))
         X *= rng.choice([-1.0, 1.0], size=X.shape)
-        gram = _RankTest((M,)).normalized(X)
+        gram = _RankTest((M,)).normalized(X.T)
         minors = MinorLoopMDelta(M).normalized(X)
         assert (gram >= 0).all()
         np.testing.assert_allclose(gram, minors, rtol=1e-12, atol=0)
@@ -206,7 +206,7 @@ def test_compiled_matrices_match_exact_entries():
                 Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), 10)
                 for _ in range(system.n)
             )
-            got = _RankTest((M,)).matrices(np.array([float(v) for v in point]))[0]
+            got = _RankTest((M,)).matrices(np.array([float(v) for v in point])[:, None])[..., 0]
             magnitude = tuple(abs(v) for v in point)
             for i, row in enumerate(M.entries):
                 for j, entry in enumerate(row):
@@ -221,7 +221,8 @@ def test_compiled_matrices_match_exact_entries():
 
 
 def _descend_every_iteration(comp, starts, tau_axis, iters):
-    """``nondegen._descend`` as it was before its fixed-point exit.
+    """``nondegen._descend`` as it was before its fixed-point exit, with
+    points held one per row (``comp`` is a ``PointMajorRankTest``).
 
     Also returns the first iteration at which no row improved with every
     step at the floor (``iters`` if that never happened).
@@ -260,14 +261,17 @@ def test_descend_exit_matches_full_descent():
     early = 0
     for index, system in enumerate(systems):
         for face in analyze_system(system).faces:
-            comp = _RankTest((build_m_delta(system, face),))
+            matrix = build_m_delta(system, face)
+            comp = _RankTest((matrix,))
             rng = np.random.default_rng(index)
             starts = rng.uniform(-1.0, 1.0, size=(8, system.n))
             column = np.repeat(floors, len(starts))[:, None]
             X, vals = _descend(comp, np.vstack([starts] * len(floors)), column, iters)
             for k, tau_axis in enumerate(floors):
                 rows = slice(k * len(starts), (k + 1) * len(starts))
-                X_full, vals_full, fixed_at = _descend_every_iteration(comp, starts, tau_axis, iters)
+                X_full, vals_full, fixed_at = _descend_every_iteration(
+                    PointMajorRankTest((matrix,)), starts, tau_axis, iters
+                )
                 np.testing.assert_array_equal(X[rows], X_full)
                 np.testing.assert_array_equal(vals[rows], vals_full)
                 early += fixed_at < iters
@@ -380,17 +384,25 @@ def test_certify_config_needs_an_axis_floor():
         ("tau_axis_schedule", (1e-1, 0.0)),
         ("tau_axis_schedule", (1.0,)),
         ("tau_axis_schedule", (float("nan"),)),
+        ("witness_floor", float("nan")),
+        ("witness_floor", -0.05),
+        ("witness_floor", 1.0),
+        ("witness_floor", float("inf")),
     ],
 )
 def test_certify_config_rejects_bad_values(field, value):
     # samples=-5 used to draw one sample per orthant, multistarts=0 died
-    # in numpy's argmin and a NaN floor certified every face.
+    # in numpy's argmin and a NaN floor certified every face; a NaN
+    # witness_floor made every numerical witness inconclusive and a
+    # negative one made every one interior.
     with pytest.raises(ValueError, match=field):
         CertifyConfig(**{field: value})
 
 
 def test_certify_config_accepts_edge_values():
-    cfg = CertifyConfig(samples=1, multistarts=1, descent_iters=0, tau_axis_schedule=(0.999,))
+    cfg = CertifyConfig(
+        samples=1, multistarts=1, descent_iters=0, tau_axis_schedule=(0.999,), witness_floor=0.0
+    )
     assert certify_system(parse_system("f = x^2 + y^2"), cfg).status == "nondegenerate_probable"
 
 
