@@ -25,13 +25,12 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import holder_exponent, quadratic_bound
-from .newton import FaceEnumerationError, ZeroPolynomialError, analyze_system, face_to_json
+from .newton import FaceEnumerationError, analyze_system, face_to_json
 from .nondegen import CertifyConfig, certify_system
 from .polysys import ParseError, PolynomialError, PolySystem, parse_system
 from .verify import (
@@ -197,9 +196,7 @@ def _run_verify(cfg: RunConfig):
     report = holder_exponent(max(system.d, 1), system.n, system.p)
     verdict = certify_system(system, _certify_config(cfg))
     hypothesis = verdict.convenient and verdict.status == "nondegenerate_probable"
-    from dataclasses import replace as _replace
-
-    report = _replace(
+    report = replace(
         report,
         convenient=verdict.convenient,
         nondegenerate_probable=verdict.status == "nondegenerate_probable",
@@ -363,6 +360,12 @@ def _parse_floats(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
+_finite_box = _checked(
+    _parse_box, lambda box: all(math.isfinite(v) for pair in box for v in pair), "finite"
+)
+_finite_floats = _checked(_parse_floats, lambda vs: all(map(math.isfinite, vs)), "finite")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holderbounds",
@@ -381,9 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="polynomial system file")
         p.add_argument("--seed", type=_nonnegative_int, default=42)
         p.add_argument("--samples", type=_positive_int, default=None)
-        p.add_argument("--box", type=_parse_box, default=None, help="lo:hi,lo:hi,...")
-        p.add_argument("--rings", type=_parse_floats, default=None, help="r1,r2,...")
-        p.add_argument("--point", type=_parse_floats, default=None, help="v1,v2,...")
+        p.add_argument("--box", type=_finite_box, default=None, help="lo:hi,lo:hi,...")
+        p.add_argument("--rings", type=_finite_floats, default=None, help="r1,r2,...")
+        p.add_argument("--point", type=_finite_floats, default=None, help="v1,v2,...")
         p.add_argument("--tau-zero", type=_positive_float, default=1e-12)
         p.add_argument("--tau-axis", type=_unit_interval, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -418,10 +421,9 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, PolynomialError, ZeroPolynomialError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FaceEnumerationError, FeasibleSetEmptyError) as err:
+    except (
+        UsageError, PolynomialError, OSError, FaceEnumerationError, FeasibleSetEmptyError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     if not cfg.out_path:

@@ -10,6 +10,15 @@ at a time to the cone of a starting simplex.  The work grows with the
 number of facets met on the way, not with the C(m, k) candidate
 hyperplanes through k of m generators.
 
+All exact linear algebra is one fraction-free Gauss-Jordan elimination,
+``_eliminate``.  Its pivot columns give ranks (face dimensions, the
+exact rank test of ``nondegen``) and the affine basis: the first point
+differences outside the span of those before them.  Its free columns
+give primitive integer null vectors: the equations of the affine hull,
+which make hull membership a few integer dot products, and the facet
+normals of the starting simplex.  Only the Gram solves behind hull
+coordinates and lifted normals scale the pivots to 1 (``_row_reduce``).
+
 Conventions:
 
 * A "Newton polyhedron at infinity" is the convex hull of a support
@@ -58,51 +67,15 @@ class DecompositionError(ValueError):
 # -- exact linear algebra helpers ------------------------------------------------
 
 
-def _int_det(matrix) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[j][c] = (a[j][c] * a[i][i] - a[j][i] * a[i][c]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
+def _eliminate(rows) -> tuple[list[list], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivot columns).
 
-
-def _hyperplane_normal(diffs: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
-    """Cofactor normal of the linear hyperplane spanned by k-1 vectors in Z^k (k >= 2).
-
-    Returns None when the vectors do not span a hyperplane.
-    """
-    normal = []
-    for j in range(k):
-        minor = [[row[c] for c in range(k) if c != j] for row in diffs]
-        normal.append((-1) ** j * _int_det(minor))
-    if all(v == 0 for v in normal):
-        return None
-    return tuple(normal)
-
-
-def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact Gauss-Jordan elimination; returns (reduced rows, pivot columns).
-
-    Elimination is fraction-free (row <- pivot * row - factor * pivot row),
-    so integers stay integers until the pivot rows are scaled to a leading
-    1 at the end; other values are made exact ``Fraction``s first.
+    Each step replaces row by pivot * row - factor * pivot row, so integer
+    rows stay integers; other values are made exact ``Fraction``s first.
+    Row r ends with its pivot ``rows[r][pivots[r]]`` as the only nonzero
+    entry of that column, and the rows past the rank are zero.  The pivot
+    columns are the greedy choice: each is the first column outside the
+    span of the columns before it.
     """
     a = [[v if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
     pivots: list[int] = []
@@ -120,17 +93,34 @@ def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
                 factor = a[r][col]
                 a[r] = [head * v - factor * w for v, w in zip(a[r], a[top])]
         pivots.append(col)
+    return a, pivots
+
+
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form, every pivot scaled to 1, as ``Fraction``s."""
+    a, pivots = _eliminate(rows)
     heads = [a[r][col] for r, col in enumerate(pivots)] + [1] * (len(a) - len(pivots))
     return [[Fraction(v) / h for v in row] for row, h in zip(a, heads)], pivots
 
 
-def _solve_fraction(matrix, rhs) -> list[Fraction]:
-    """Solve a small nonsingular rational system exactly."""
-    n = len(rhs)
-    a, pivots = _row_reduce([list(row[:n]) + [b] for row, b in zip(matrix, rhs)])
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return [row[n] for row in a]
+def _null_space(rows, width: int) -> list[tuple[int, ...]]:
+    """Primitive basis of {x : <row, x> = 0 for every row} of integer rows.
+
+    One vector per non-pivot column f: x_f = lcm of the pivots, and each
+    pivot row fixes its own pivot coordinate; the vector is then divided
+    by its gcd.
+    """
+    a, pivots = _eliminate(rows)
+    scale = lcm(*(row[col] for row, col in zip(a, pivots)))
+    basis = []
+    for free in sorted(set(range(width)).difference(pivots)):
+        x = [0] * width
+        x[free] = scale
+        for row, col in zip(a, pivots):
+            x[col] = -row[free] * scale // row[col]
+        g = gcd(*x)
+        basis.append(tuple(v // g for v in x))
+    return basis
 
 
 def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
@@ -145,60 +135,47 @@ class _AffineFrame:
     """Affine hull of a point set: base point, integer basis, exact coords.
 
     ``simplex`` holds the indices of dim + 1 affinely independent points:
-    the base point and the points whose differences form the basis.
+    the base point and the points whose differences form the basis, each
+    the first difference outside the span of those before it.
+    ``equations`` is a primitive integer basis of the normals of the hull.
     """
 
     def __init__(self, points: Sequence[Exponent]):
         self.base = points[0]
-        self.basis: list[tuple[int, ...]] = []
-        self.simplex = [0]
-        self._reduced: list[tuple[int, list[Fraction]]] = []
-        for index, u in enumerate(points[1:], start=1):
-            diff = tuple(a - b for a, b in zip(u, self.base))
-            rem = self._remainder(diff)
-            pivot = next((j for j, v in enumerate(rem) if v != 0), None)
-            if pivot is not None:
-                inv = 1 / rem[pivot]
-                self._reduced.append((pivot, [v * inv for v in rem]))
-                self.basis.append(diff)
-                self.simplex.append(index)
+        diffs = [tuple(a - b for a, b in zip(u, self.base)) for u in points[1:]]
+        pivots = _eliminate(zip(*diffs))[1]
+        self.simplex = [0] + [c + 1 for c in pivots]
+        self.basis = [diffs[c] for c in pivots]
         self.dim = len(self.basis)
-        self._gram = [
-            [sum(a * b for a, b in zip(r1, r2)) for r2 in self.basis]
-            for r1 in self.basis
+        self.equations = [
+            (e, _dot(e, self.base)) for e in _null_space(self.basis, len(self.base))
         ]
 
-    def _remainder(self, vec) -> list[Fraction]:
-        rem = [Fraction(v) for v in vec]
-        for pivot, row in self._reduced:
-            if rem[pivot] != 0:
-                factor = rem[pivot]
-                rem = [v - factor * w for v, w in zip(rem, row)]
-        return rem
-
     def spans(self, point: Sequence) -> bool:
-        diff = [Fraction(a) - b for a, b in zip(point, self.base)]
-        return all(v == 0 for v in self._remainder(diff))
+        q = [a if isinstance(a, int) else Fraction(a) for a in point]
+        return all(_dot(e, q) == offset for e, offset in self.equations)
+
+    def _solve(self, columns) -> list[tuple[Fraction, ...]]:
+        """z with G z = c for each column c, G the Gram matrix of the basis."""
+        gram = [[_dot(r1, r2) for r2 in self.basis] for r1 in self.basis]
+        a = _row_reduce([g + list(c) for g, c in zip(gram, zip(*columns))])[0]
+        return list(zip(*(row[self.dim :] for row in a)))
 
     def coordinates(self, points: Sequence[Exponent]) -> list[tuple[int, ...]]:
         """Integer coordinates of hull points (common positive rescaling)."""
-        k = self.dim
-        raw = []
-        for u in points:
-            diff = [a - b for a, b in zip(u, self.base)]
-            rhs = [sum(row[j] * diff[j] for j in range(len(diff))) for row in self.basis]
-            raw.append(_solve_fraction(self._gram, rhs) if k else [])
-        scale = lcm(*(c.denominator for y in raw for c in y)) if k else 1
+        if not self.dim:
+            return [() for _ in points]
+        diffs = ([a - b for a, b in zip(u, self.base)] for u in points)
+        raw = self._solve([[_dot(row, d) for row in self.basis] for d in diffs])
+        scale = lcm(*(c.denominator for y in raw for c in y))
         return [tuple(int(c * scale) for c in y) for y in raw]
 
-    def lift_normal(self, w: Sequence[int]) -> tuple[int, ...]:
-        """Primitive ambient normal inducing the coordinate functional ``w``."""
-        z = _solve_fraction(self._gram, list(w))
-        ambient = [
-            sum(z[i] * self.basis[i][j] for i in range(self.dim))
-            for j in range(len(self.base))
+    def lift_normals(self, ws: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """Primitive ambient normals inducing the coordinate functionals ``ws``."""
+        return [
+            _primitive([_dot(z, column) for column in zip(*self.basis)])
+            for z in self._solve(ws)
         ]
-        return _primitive(ambient)
 
 
 # -- hull and face machinery ------------------------------------------------------
@@ -209,8 +186,9 @@ def _hull_coord_facets(coords: list[tuple[int, ...]], k: int, simplex: Sequence[
 
     A facet ``<w, y> >= c`` is an extreme ray h = (w, -c) of the cone
     {h : <h, (y, 1)> >= 0 for every point y}.  The rays start as the
-    cofactor normals of the simplex on the k + 1 affinely independent
-    points ``simplex``; the other points are then added one at a time
+    facets of the simplex on the k + 1 affinely independent points
+    ``simplex``, each the null vector of the other k points' rows; the
+    other points are then added one at a time
     (Fukuda & Prodon, "Double description method revisited", 1996).  A
     point keeps the rays on its non-negative side and joins each pair of
     rays on opposite sides that are adjacent: their common tight set has
@@ -220,7 +198,7 @@ def _hull_coord_facets(coords: list[tuple[int, ...]], k: int, simplex: Sequence[
     rows = [(*y, 1) for y in coords]
     rays = []
     for j in simplex:
-        h = _hyperplane_normal([rows[i] for i in simplex if i != j], k + 1)
+        (h,) = _null_space([rows[i] for i in simplex if i != j], k + 1)
         sign = 1 if _dot(h, rows[j]) > 0 else -1
         rays.append(([sign * v for v in h], sum(1 << i for i in simplex if i != j)))
     for i in sorted(set(range(len(rows))).difference(simplex)):
@@ -271,8 +249,6 @@ class NewtonPolytope:
             raise PolynomialError("ambient dimension mismatch")
         if not self._frame.spans(point):
             return False
-        if self.dim == 0:
-            return all(Fraction(a) == b for a, b in zip(point, self.points[0]))
         return all(
             sum(Fraction(v) * c for v, c in zip(normal, point)) >= offset
             for normal, offset in self.facets
@@ -302,16 +278,13 @@ def _build_polytope(
     coord_facets = _hull_coord_facets(coords, k, frame.simplex)
 
     facets = []
-    for w, eq_mask in coord_facets:
-        normal = frame.lift_normal(w)
+    # On the hull's points <normal, u - base> is a positive multiple of
+    # <w, coordinates of u>, so both are least on the same points.
+    normals = frame.lift_normals([w for w, _ in coord_facets])
+    for normal, (_, eq_mask) in zip(normals, coord_facets):
         values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
         offset = min(values)
         mask = sum(1 << i for i, v in enumerate(values) if v == offset)
-        if mask != eq_mask:
-            normal = tuple(-v for v in normal)
-            values = [-v for v in values]
-            offset = min(values)
-            mask = sum(1 << i for i, v in enumerate(values) if v == offset)
         if mask != eq_mask:
             raise RuntimeError("facet lift mismatch; exact arithmetic invariant broken")
         facets.append((normal, offset, eq_mask))
@@ -352,7 +325,7 @@ def _build_polytope(
                 value=value,
                 # The facets through a face of a k-polytope have normals
                 # of rank k - dim(face).
-                dim=k - len(_row_reduce([normal for normal, _, _ in active])[1]),
+                dim=k - len(_eliminate([normal for normal, _, _ in active])[1]),
             )
         )
     proper.sort(key=lambda f: (f.dim, tuple(sorted(f.support, key=grlex_key))))

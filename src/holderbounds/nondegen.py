@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .newton import FaceAtInfinity, SystemGeometry, _row_reduce, analyze_system
+from .newton import FaceAtInfinity, SystemGeometry, _eliminate, analyze_system
 from .polysys import Exponent, Polynomial, PolySystem, _CompiledMap, principal_part, rational_str
 
 
@@ -427,7 +427,7 @@ def _descend(comp: _RankTest, starts: np.ndarray, tau_axis, iters: int, faces=0)
 def exact_rank_deficient(matrix: MDeltaMatrix, point: Sequence[Fraction]) -> bool:
     """Exact-rational check that the matrix drops rank at ``point``."""
     rows = [[e.evaluate(point) for e in row] for row in matrix.entries]
-    return len(_row_reduce(rows)[1]) < matrix.p
+    return len(_eliminate(rows)[1]) < matrix.p
 
 
 def _try_exact_witness(matrix: MDeltaMatrix, x: np.ndarray):

@@ -17,16 +17,17 @@ iteration with the exact Lagrangian Hessian, whose QP subproblems are
 solved by enumerating active sets.  Rows where SQP fails (no valid active
 set, multipliers blowing up where a constraint gradient vanishes on S,
 or no convergence within the iteration cap) fall back to a per-anchor
-SLSQP projection with penalty continuation, as do all rows of a system
-with too many constraints to enumerate their active sets.  Each bound
-is a local projection: on a nonconvex S the SQP descent can settle in
-a farther local minimum than the SLSQP projection alone reached from
-the same anchor (SLSQP's early steps can jump to another basin), and
-in a nearer one as often.  Upper bounds make every fitted constant
-conservative in the safe direction (ratios can only shrink).
-Components, their partials and second partials are evaluated together
-through one compiled map (``polysys._CompiledMap``), whose rows do not
-depend on the batch they are evaluated in.
+SLSQP projection, as do all rows of a system with too many constraints
+to enumerate their active sets; an anchor whose projection still ends
+infeasible is dropped.  Each bound is a local projection: on a
+nonconvex S the SQP descent can settle in a farther local minimum than
+the SLSQP projection alone reached from the same anchor (SLSQP's early
+steps can jump to another basin), and in a nearer one as often.  Upper
+bounds make every fitted constant conservative in the safe direction
+(ratios can only shrink).  Components, their partials and second
+partials are evaluated together through one compiled map
+(``polysys._CompiledMap``), whose rows do not depend on the batch they
+are evaluated in.
 """
 
 from __future__ import annotations
@@ -137,14 +138,12 @@ class DistanceConfig:
 
     ``multistarts`` caps both the anchor pool and the anchors one query
     walks, nearest first; the walk stops after ``stall_limit`` anchors in
-    a row fail to tighten the bound.  ``penalty_schedule`` drives the
-    fallback's penalty continuation, ``polish_iters`` the Gauss-Newton
-    polish, and a candidate counts only where every component is at most
-    ``tau_feas``.
+    a row fail to tighten the bound.  ``polish_iters`` drives the
+    Gauss-Newton polish, and a candidate counts only where every component
+    is at most ``tau_feas``.
     """
 
     multistarts: int = 32
-    penalty_schedule: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
     tau_feas: float = 1e-9
     grid_points: int = 256
     search_box: tuple[tuple[float, float], ...] | None = None
@@ -172,11 +171,12 @@ class DistanceOracle:
     QP active set, whose multipliers blow up (the constraint
     qualification fails, as at S = {0} in sphere_cubic), whose line
     search stalls or that reaches the iteration cap falls back to the
-    per-anchor SLSQP and penalty path; so does a converged row whose
-    point is not feasible, and so does every row where the QP would have
-    too many active sets to enumerate (``_QP_WIDTH``).  Each query walks
-    its anchors nearest first, as set out in ``DistanceConfig``; the rows
-    are projected in rounds, each holding just the anchors that the walks
+    per-anchor SLSQP projection; so does a converged row whose point is
+    not feasible, and so does every row where the QP would have too many
+    active sets to enumerate (``_QP_WIDTH``).  An anchor whose fallback
+    still ends infeasible gives no candidate.  Each query walks its
+    anchors nearest first, as set out in ``DistanceConfig``; the rows are
+    projected in rounds, each holding just the anchors that the walks
     still running can reach.  The query's own Gauss-Newton projection is
     tried last, since which basin a projection from an anchor lands in
     can turn on the last bits of a sum.  A candidate counts only if every
@@ -455,31 +455,10 @@ class DistanceOracle:
         )
         return res.x
 
-    def _project_penalty(self, x, start):
-        a = np.asarray(start, dtype=float).copy()
-        for mu in self.cfg.penalty_schedule:
-
-            def objective(v):
-                d = v - x
-                values, jac = self.comp.one(v)
-                pos = np.maximum(values, 0.0)
-                return float(d @ d + mu * (pos**2).sum()), 2.0 * d + 2.0 * mu * pos @ jac
-
-            res = _minimize(
-                objective, a, jac=True, method="L-BFGS-B",
-                options={"maxiter": 150},
-            )
-            a = res.x
-        return a
-
     def _fallback(self, x, anchor):
-        """Per-anchor SLSQP projection, then penalty continuation, polished."""
+        """Per-anchor SLSQP projection, polished; returns it with its violation."""
         candidate = self._polish(self._project_slsqp(x, anchor)[None])[0]
-        violation = self.comp.values_one(candidate).max()
-        if violation > self.cfg.tau_feas:
-            candidate = self._polish(self._project_penalty(x, anchor)[None])[0]
-            violation = self.comp.values_one(candidate).max()
-        return candidate, violation
+        return candidate, self.comp.values_one(candidate).max()
 
     def distance(self, x) -> DistanceResult:
         return self.distances(np.asarray(x, dtype=float)[None])[0]
@@ -695,14 +674,16 @@ class SamplePlan:
         if self.count < 1:
             raise ValueError("count must be at least 1")
         for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("box bounds must be finite")
             if lo > hi:
                 raise ValueError("box intervals must satisfy lo <= hi")
         if self.rings is not None:
             radii = tuple(self.rings)
             if any(b <= a for a, b in zip(radii, radii[1:])) or any(
-                r <= 0 for r in radii
+                not (math.isfinite(r) and r > 0) for r in radii
             ):
-                raise ValueError("rings must be positive and strictly increasing")
+                raise ValueError("rings must be finite, positive and strictly increasing")
 
 
 def _stratified_box_samples(rng, box, count):

@@ -6,18 +6,39 @@ anchor gets an SLSQP projection (penalty continuation when that ends
 infeasible) and a Gauss-Newton polish by ``np.linalg.lstsq``; the walk
 stops after ``stall_limit`` anchors in a row fail to tighten the bound,
 and the query's own polish is tried last.  It shares the anchor pool and
-the SLSQP and penalty projections with the oracle under test, so a
-difference between the two comes from the projection method alone.
+the SLSQP projection with the oracle under test, so a difference between
+the two comes from the projection method alone.  The penalty
+continuation is this oracle's own: the library drops an anchor whose
+SLSQP projection ends infeasible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from holderbounds.verify import DistanceOracle, DistanceResult
+from holderbounds.verify import DistanceOracle, DistanceResult, _minimize
+
+PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 
 
 class SequentialDistanceOracle(DistanceOracle):
+    def _project_penalty(self, x, start):
+        a = np.asarray(start, dtype=float).copy()
+        for mu in PENALTY_SCHEDULE:
+
+            def objective(v):
+                d = v - x
+                values, jac = self.comp.one(v)
+                pos = np.maximum(values, 0.0)
+                return float(d @ d + mu * (pos**2).sum()), 2.0 * d + 2.0 * mu * pos @ jac
+
+            res = _minimize(
+                objective, a, jac=True, method="L-BFGS-B",
+                options={"maxiter": 150},
+            )
+            a = res.x
+        return a
+
     def _polish_one(self, x):
         """Gauss-Newton push onto the feasible side."""
         x = np.asarray(x, dtype=float).copy()

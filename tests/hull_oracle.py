@@ -8,6 +8,12 @@ algorithm in between.  ``decompose_face_by_hull_rebuild`` is the old
 ``decompose_face`` check, which rebuilds the hull of the summed component
 faces and of the face and compares their vertices.  Tests compare the
 library against both.
+
+``IncrementalAffineFrame`` is the affine frame ``newton`` used before its
+one elimination helper took over: it reduces each new point difference
+against the basis so far in ``Fraction``s, solves the Gram system once
+per point, and builds the starting simplex's facet normals from k + 1
+Bareiss determinants each (``_hyperplane_normal``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -25,12 +32,121 @@ from holderbounds.newton import (
     DecompositionError,
     FaceEnumerationError,
     _build_polytope,
-    _hyperplane_normal,
+    _primitive,
+    _row_reduce,
     min_face,
     min_support,
 )
 
 CANDIDATE_CAP = 5_000_000
+
+
+def _int_det(matrix) -> int:
+    """Fraction-free (Bareiss) determinant of a small integer matrix."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for r in range(i + 1, n):
+                if a[r][i] != 0:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for j in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[j][c] = (a[j][c] * a[i][i] - a[j][i] * a[i][c]) // prev
+            a[j][i] = 0
+        prev = a[i][i]
+    return sign * a[n - 1][n - 1]
+
+
+def _hyperplane_normal(diffs, k: int) -> tuple[int, ...] | None:
+    """Cofactor normal of the linear hyperplane spanned by k-1 vectors in Z^k (k >= 2).
+
+    Returns None when the vectors do not span a hyperplane.
+    """
+    normal = []
+    for j in range(k):
+        minor = [[row[c] for c in range(k) if c != j] for row in diffs]
+        normal.append((-1) ** j * _int_det(minor))
+    if all(v == 0 for v in normal):
+        return None
+    return tuple(normal)
+
+
+def _solve_fraction(matrix, rhs) -> list[Fraction]:
+    """Solve a small nonsingular rational system exactly."""
+    n = len(rhs)
+    a, pivots = _row_reduce([list(row[:n]) + [b] for row, b in zip(matrix, rhs)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return [row[n] for row in a]
+
+
+class IncrementalAffineFrame:
+    """Affine hull of a point set: base point, integer basis, exact coords.
+
+    ``simplex`` holds the indices of dim + 1 affinely independent points:
+    the base point and the points whose differences form the basis.
+    """
+
+    def __init__(self, points):
+        self.base = points[0]
+        self.basis: list[tuple[int, ...]] = []
+        self.simplex = [0]
+        self._reduced: list[tuple[int, list[Fraction]]] = []
+        for index, u in enumerate(points[1:], start=1):
+            diff = tuple(a - b for a, b in zip(u, self.base))
+            rem = self._remainder(diff)
+            pivot = next((j for j, v in enumerate(rem) if v != 0), None)
+            if pivot is not None:
+                inv = 1 / rem[pivot]
+                self._reduced.append((pivot, [v * inv for v in rem]))
+                self.basis.append(diff)
+                self.simplex.append(index)
+        self.dim = len(self.basis)
+        self._gram = [
+            [sum(a * b for a, b in zip(r1, r2)) for r2 in self.basis]
+            for r1 in self.basis
+        ]
+
+    def _remainder(self, vec) -> list[Fraction]:
+        rem = [Fraction(v) for v in vec]
+        for pivot, row in self._reduced:
+            if rem[pivot] != 0:
+                factor = rem[pivot]
+                rem = [v - factor * w for v, w in zip(rem, row)]
+        return rem
+
+    def spans(self, point: Sequence) -> bool:
+        diff = [Fraction(a) - b for a, b in zip(point, self.base)]
+        return all(v == 0 for v in self._remainder(diff))
+
+    def coordinates(self, points) -> list[tuple[int, ...]]:
+        """Integer coordinates of hull points (common positive rescaling)."""
+        k = self.dim
+        raw = []
+        for u in points:
+            diff = [a - b for a, b in zip(u, self.base)]
+            rhs = [sum(row[j] * diff[j] for j in range(len(diff))) for row in self.basis]
+            raw.append(_solve_fraction(self._gram, rhs) if k else [])
+        scale = lcm(*(c.denominator for y in raw for c in y)) if k else 1
+        return [tuple(int(c * scale) for c in y) for y in raw]
+
+    def lift_normal(self, w: Sequence[int]) -> tuple[int, ...]:
+        """Primitive ambient normal inducing the coordinate functional ``w``."""
+        z = _solve_fraction(self._gram, list(w))
+        ambient = [
+            sum(z[i] * self.basis[i][j] for i in range(self.dim))
+            for j in range(len(self.base))
+        ]
+        return _primitive(ambient)
 
 
 def enumerate_coord_facets(coords: list[tuple[int, ...]], k: int):

@@ -224,6 +224,12 @@ def test_tau_flags_reach_certification(system_file, capsys):
         ["certify", "{path}", "--tau-zero", "0"],
         ["certify", "{path}", "--tau-zero", "-1e-12"],
         ["certify", "{path}", "--tau-zero", "inf"],
+        ["verify", "{path}", "--box", "nan:1,-3:3"],
+        ["verify", "{path}", "--box=-inf:3,-3:3"],
+        ["slope", "{path}", "--point", "nan,0"],
+        ["slope", "{path}", "--point", "inf,0"],
+        ["verify", "{path}", "--rings", "nan,2"],
+        ["verify", "{path}", "--rings", "2,inf"],
     ],
     ids=[
         "box-dimension",
@@ -243,6 +249,12 @@ def test_tau_flags_reach_certification(system_file, capsys):
         "tau-zero-zero",
         "tau-zero-negative",
         "tau-zero-inf",
+        "box-nan",
+        "box-inf",
+        "point-nan",
+        "point-inf",
+        "rings-nan",
+        "rings-inf",
     ],
 )
 def test_bad_input_exits_two_with_error_line(argv, system_file, tmp_path, capsys):

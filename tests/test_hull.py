@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -31,7 +32,11 @@ from holderbounds.newton import (
 from holderbounds.polysys import parse_system
 
 from conftest import random_convenient_system
-from hull_oracle import brute_force_hull, decompose_face_by_hull_rebuild
+from hull_oracle import (
+    IncrementalAffineFrame,
+    brute_force_hull,
+    decompose_face_by_hull_rebuild,
+)
 
 DEMO_SYSTEMS = sorted(
     (Path(__file__).resolve().parent.parent / "demos" / "systems").glob("*.poly")
@@ -151,3 +156,44 @@ def test_facets_do_not_depend_on_insertion_order(seed):
     assert _primitive_facets(coords, frame.dim, permuted_simplex, order) == (
         _primitive_facets(coords, frame.dim, frame.simplex, list(range(len(coords))))
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_affine_frame_matches_incremental_oracle(n):
+    rng = random.Random(n)
+    dims, spanned = set(), set()
+    for dim in range(n + 1):
+        for _ in range(8):
+            base = [rng.randint(-4, 4) for _ in range(n)]
+            directions = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(dim)]
+            points = [tuple(base)] + [tuple(b + d for b, d in zip(base, v)) for v in directions]
+            for _ in range(rng.randint(0, 5)):
+                c = [rng.randint(-2, 2) for _ in directions]
+                shift = [sum(x * v[j] for x, v in zip(c, directions)) for j in range(n)]
+                points.append(tuple(b + s for b, s in zip(base, shift)))
+            points += [rng.choice(points) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(points)
+
+            new, old = _AffineFrame(points), IncrementalAffineFrame(points)
+            assert (new.simplex, new.basis, new.dim) == (old.simplex, old.basis, old.dim)
+            assert new.coordinates(points) == old.coordinates(points)
+            ws = [[rng.randint(-3, 3) for _ in range(new.dim)] for _ in range(4)]
+            if new.dim:
+                assert new.lift_normals(ws) == [old.lift_normal(w) for w in ws]
+            dims.add(new.dim)
+
+            queries = list(points) + [
+                tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)
+            ]
+            for _ in range(4):
+                u, v = rng.choice(points), rng.choice(points)
+                t = Fraction(rng.randint(-3, 5), rng.choice([1, 2, 3, 4]))
+                mid = [t * a + (1 - t) * b for a, b in zip(u, v)]
+                off = list(mid)
+                off[rng.randrange(n)] += Fraction(1, 3)
+                queries += [tuple(mid), tuple(off), tuple(map(float, mid)), tuple(map(float, off))]
+            for q in queries:
+                assert new.spans(q) == old.spans(q), (points, q)
+                spanned.add(new.spans(q))
+    assert dims == set(range(n + 1))
+    assert spanned == {True, False}

@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from holderbounds.newton import (
     _AffineFrame,
+    _null_space,
     _row_reduce,
     DecompositionError,
     FaceEnumerationError,
@@ -25,6 +27,7 @@ from holderbounds.newton import (
 from holderbounds.polysys import Polynomial, PolynomialError, parse_system
 
 from conftest import DEMO_SYSTEMS, random_convenient_system
+from hull_oracle import _hyperplane_normal
 
 
 def _poly(text: str) -> Polynomial:
@@ -358,6 +361,35 @@ def test_row_reduce_matches_division_oracle():
         got = _row_reduce(rows)
         assert got == _row_reduce_by_division(rows)
         assert all(type(v) is Fraction for row in got[0] for v in row)
+
+
+def test_null_space_is_a_primitive_basis():
+    rng = random.Random(5)
+    for _ in range(400):
+        m, width = rng.randint(0, 6), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(m)]
+        if m >= 3 and rng.random() < 0.5:
+            rows[-1] = [2 * u - v for u, v in zip(rows[0], rows[1])]
+        basis = _null_space(rows, width)
+        assert len(basis) == width - len(_row_reduce_by_division(rows)[1])
+        assert len(_row_reduce_by_division(basis)[1]) == len(basis)
+        for x in basis:
+            assert all(type(v) is int for v in x) and gcd(*x) == 1
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+    # k x (k + 1) rows of full rank: the one vector is the cofactor normal
+    # made primitive, up to sign.
+    checked = 0
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(k)]
+        normal = _hyperplane_normal(rows, k + 1)
+        if normal is None:
+            continue
+        g = gcd(*normal)
+        primitive = tuple(v // g for v in normal)
+        assert _null_space(rows, k + 1) in ([primitive], [tuple(-v for v in primitive)])
+        checked += 1
+    assert checked > 200
 
 
 def test_face_dims_match_affine_rank():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -300,6 +301,12 @@ def test_sample_plan_validation():
         SamplePlan(box=((-1.0, 1.0),), count=0)
     with pytest.raises(ValueError):
         SamplePlan(box=((-1.0, 1.0),), count=10, rings=(5.0, 5.0))
+    for box in (((math.nan, 1.0),), ((-math.inf, 1.0),), ((-1.0, math.inf),)):
+        with pytest.raises(ValueError):
+            SamplePlan(box=box, count=10)
+    for rings in ((math.nan, 2.0), (2.0, math.inf)):
+        with pytest.raises(ValueError):
+            SamplePlan(box=((-1.0, 1.0),), count=10, rings=rings)
 
 
 def test_verify_bound_half_disk(half_disk):
