@@ -51,8 +51,9 @@ class FeasibleSetEmptyError(RuntimeError):
 def _minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first use: loading scipy
     costs more than half a second and tens of MB, which importing
-    ``holderbounds`` for anything but a distance or goodness search would
-    pay for nothing."""
+    ``holderbounds`` for anything but a distance search would pay for
+    nothing.  Only the distance oracle's feasibility search and SLSQP
+    fallback call it."""
     from scipy import optimize
 
     return optimize.minimize(*args, **kwargs)
@@ -657,6 +658,28 @@ def _slope_from_data(values, grads, p, tau_active=None) -> SlopeResult:
     )
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of A, each bit-equal to ``np.linalg.norm``
+    of the row alone: a stack of (1, n) @ (n, 1) products runs the same dot
+    product as the vector norm, where ``einsum`` or ``(A * A).sum(axis=1)``
+    sum in another order."""
+    return np.sqrt(np.matmul(A[:, None, :], A[:, :, None]))[:, 0, 0]
+
+
+def _slopes(values: np.ndarray, grads: np.ndarray, p: int) -> np.ndarray:
+    """``_slope_from_data(values[i], grads[i], p).value`` for every row, bit for bit.
+
+    A row with one active component takes its gradient's norm in one
+    batch; any other row goes through ``_slope_from_data``.
+    """
+    fmax = values.max(axis=1)
+    active = fmax[:, None] - values <= (1e-8 * (1.0 + np.abs(fmax)))[:, None]
+    out = _row_norms(grads[np.arange(len(values)), active.argmax(axis=1)])
+    for i in np.flatnonzero(active.sum(axis=1) != 1):
+        out[i] = _slope_from_data(values[i], grads[i], p).value
+    return out
+
+
 # -- sampling plans ----------------------------------------------------------------
 
 
@@ -762,12 +785,90 @@ class GoodnessReport:
 
 def _ring_slopes(comp, X, p):
     values, grads = comp(X)
-    fmax = values.max(axis=1)
-    mask = fmax > 0
+    mask = values.max(axis=1) > 0
     slopes = np.full(X.shape[0], np.nan)
-    for i in np.flatnonzero(mask):
-        slopes[i] = _slope_from_data(values[i], grads[i], p).value
+    slopes[mask] = _slopes(values[mask], grads[mask], p)
     return slopes, mask
+
+
+def _sorted_simplices(sim, fsim):
+    """Every row's simplex ordered by value, by the default ``np.argsort``."""
+    ind = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _nelder_mead(fun, X0, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+    """Nelder-Mead from every row of X0 at once; returns each row's least value.
+
+    Row by row this is scipy's ``_minimize_neldermead`` (non-adaptive,
+    no bounds, ``maxfev`` unset), bit for bit: the initial simplex moves
+    each nonzero coordinate by 5% and sets each zero one to 0.00025, the
+    iteration count starts at 1, each iteration first tests ``xatol`` and
+    ``fatol``, and the steps use scipy's coefficients (reflection 1,
+    expansion 2, contraction and shrink 1/2) and its comparisons.  Ties
+    between simplex values are broken by the default (unstable) argsort,
+    sorted the same way scipy sorts them, twice for the initial simplex:
+    a stable sort orders tied vertices differently and so changes the
+    next centroid.  ``fun(points, rows)`` evaluates the points of the
+    searches ``rows``; each iteration calls it once per phase (reflection,
+    then the expansion or contraction, then the shrink) over the rows
+    that reach that phase, and a row leaves once it has converged.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    m, N = X0.shape
+    best = np.empty(m)
+    if m == 0:
+        return best
+    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    sim[:, k + 1, k] = np.where(X0 != 0, (1 + 0.05) * X0, 0.00025)
+    fsim = fun(sim.reshape(-1, N), np.repeat(np.arange(m), N + 1)).reshape(m, N + 1)
+    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))
+    live = np.arange(m)
+    for _ in range(1, maxiter):
+        converged = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        if converged.any():
+            best[live[converged]] = fsim[converged].min(axis=1)
+            live, sim, fsim = live[~converged], sim[~converged], fsim[~converged]
+            if live.size == 0:
+                return best
+        worst = sim[:, -1]
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        xr = 2 * xbar - worst
+        fxr = fun(xr, live)
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        inside = ~expand & ~accept & ~outside
+        trial = np.where(
+            expand[:, None],
+            3 * xbar - 2 * worst,
+            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
+        )
+        ftrial = np.full(live.size, np.nan)
+        if not accept.all():
+            ftrial[~accept] = fun(trial[~accept], live[~accept])
+        take = (
+            (expand & (ftrial < fxr))
+            | (outside & (ftrial <= fxr))
+            | (inside & (ftrial < fsim[:, -1]))
+        )
+        shrink = (outside | inside) & ~take
+        sim[~shrink, -1] = np.where(take[:, None], trial, xr)[~shrink]
+        fsim[~shrink, -1] = np.where(take, ftrial, fxr)[~shrink]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = fun(
+                s[:, 1:].reshape(-1, N), np.repeat(live[shrink], N)
+            ).reshape(-1, N)
+        sim, fsim = _sorted_simplices(sim, fsim)
+    best[live] = fsim.min(axis=1)
+    return best
 
 
 def probe_goodness(
@@ -780,15 +881,23 @@ def probe_goodness(
 
     Reports, per radius, the smallest slope among positive-residual
     sample points, sharpened by derivative-free minimisation over the
-    sphere from the best samples (thin slope valleys are far narrower
-    than uniform sampling can resolve).  The trend across radii is a
-    reported observation, never a proof of goodness at infinity.
+    sphere from the ``refine_starts`` best samples (thin slope valleys
+    are far narrower than uniform sampling can resolve).  Every ring's
+    starts run in one lockstep Nelder-Mead search (``_nelder_mead``) of
+    at most ``refine_iters`` iterations, each row bit-equal to scipy's
+    Nelder-Mead from that start, ties between simplex values included:
+    they are broken by numpy's default argsort, as scipy breaks them.
+    The trend across radii is a reported observation, never a proof of
+    goodness at infinity.
     """
     if not plan.rings:
         raise ValueError("probe_goodness needs plan.rings")
+    if refine_starts < 0 or refine_iters < 0:
+        raise ValueError("refine_starts and refine_iters must be nonnegative")
     comp = _CompiledSystem(system)
     n, p = system.n, system.p
-    floors = []
+    rings = []  # (sample floor, positive samples) per ring
+    starts, owners = [], []
     for index, radius in enumerate(plan.rings):
         rng = np.random.default_rng(
             np.random.SeedSequence(plan.seed, spawn_key=(index,))
@@ -798,31 +907,34 @@ def probe_goodness(
         X = radius * U
         slopes, mask = _ring_slopes(comp, X, p)
         if not mask.any():
-            floors.append(RingFloor(float(radius), None, 0))
+            rings.append((None, 0))
             continue
-        floor = float(np.nanmin(slopes))
+        rings.append((float(np.nanmin(slopes)), int(mask.sum())))
+        best = np.argsort(np.where(np.isnan(slopes), np.inf, slopes))[:refine_starts]
+        starts.extend(U[best])
+        owners.extend([index] * len(best))
+    owners = np.array(owners, dtype=int)
+    row_radius = np.array(plan.rings, dtype=float)[owners]
 
-        def sphere_slope(u):
-            norm = np.linalg.norm(u)
-            if norm < 1e-9:
-                return np.inf
-            point = radius * u / norm
-            values, jac = comp.one(point)
-            if values.max() <= 0:
-                return np.inf
-            return _slope_from_data(values, jac, p).value
+    def sphere_slopes(points, rows):
+        """The slope at each point's projection onto its search's ring, or
+        inf where the point is near 0 or the residual is not positive."""
+        out = np.full(len(points), np.inf)
+        norm = _row_norms(points)
+        ok = np.flatnonzero(~(norm < 1e-9))
+        values, jac = comp(row_radius[rows[ok], None] * points[ok] / norm[ok, None])
+        positive = ~(values.max(axis=1) <= 0)
+        out[ok[positive]] = _slopes(values[positive], jac[positive], p)
+        return out
 
-        order = np.argsort(np.where(np.isnan(slopes), np.inf, slopes))
-        for start in order[:refine_starts]:
-            res = _minimize(
-                sphere_slope,
-                U[start],
-                method="Nelder-Mead",
-                options={"maxiter": refine_iters, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            if np.isfinite(res.fun):
-                floor = min(floor, float(res.fun))
-        floors.append(RingFloor(float(radius), floor, int(mask.sum())))
+    X0 = np.array(starts).reshape(-1, n)
+    found = _nelder_mead(sphere_slopes, X0, refine_iters, 1e-10, 1e-12)
+    floors = []
+    for index, (radius, (floor, positive)) in enumerate(zip(plan.rings, rings)):
+        for value in found[owners == index]:
+            if np.isfinite(value):
+                floor = min(floor, float(value))
+        floors.append(RingFloor(float(radius), floor, positive))
 
     valid = [r.floor for r in floors if r.floor is not None]
     if len(valid) < 2:
@@ -933,6 +1045,7 @@ def verify_bound(
         distances = [r.distance for r in oracle.distances(X)]
     else:
         distances = [float(distance_fn(x)) for x in X]
+    slopes = _slopes(values, grads, system.p)
     records = []
     violations = 0
     fitted = None
@@ -940,7 +1053,6 @@ def verify_bound(
         x = X[i]
         res = float(max(0.0, values[i].max()))
         dist = distances[i]
-        slp = _slope_from_data(values[i], grads[i], system.p).value
         if dist > tau_dist:
             numerator = res**alpha + res if res > 0 else 0.0
             ratio = numerator / dist
@@ -955,7 +1067,7 @@ def verify_bound(
                 x=tuple(float(v) for v in x),
                 residual=res,
                 distance=dist,
-                slope=slp,
+                slope=float(slopes[i]),
                 ratio=ratio,
             )
         )

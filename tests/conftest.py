@@ -58,13 +58,14 @@ def random_convenient_system(
     max_polys: int = 2,
     max_extra_terms: int = 2,
     max_degree: int = 4,
+    min_vars: int = 2,
 ) -> PolySystem:
     """Random system whose components all carry a pure power of each variable.
 
     An extra term drawn with coefficient 0 is dropped, except that it never
     deletes a pure power; the random draws are the same either way.
     """
-    n = rng.randint(2, max_vars)
+    n = rng.randint(min_vars, max_vars)
     p = rng.randint(1, max_polys)
     polys = []
     for _ in range(p):

@@ -284,3 +284,26 @@ def test_analyze_and_certify_never_import_scipy():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_goodness_probe_never_imports_scipy():
+    # The goodness probe runs its own Nelder-Mead; only the distance
+    # oracle loads scipy.
+    script = (
+        "import sys\n"
+        "from holderbounds import SamplePlan, parse_system, probe_goodness\n"
+        "system = parse_system(open(sys.argv[1]).read())\n"
+        "plan = SamplePlan(box=((-3.0, 3.0), (-3.0, 3.0)), count=500, rings=(2.0, 8.0, 32.0))\n"
+        "report = probe_goodness(system, plan)\n"
+        "assert all(r.floor is not None for r in report.rings), report\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    bowl = next(path for path in DEMO_SYSTEMS if path.stem == "quadratic_bowl")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(bowl)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -294,6 +294,23 @@ def test_probe_goodness_empty_ring():
     assert report.trend == "n/a"
 
 
+def test_probe_goodness_refine_budget_validation():
+    system = parse_system("f1 = x^2")
+    plan = SamplePlan(box=((-1.0, 1.0),), count=20, rings=(10.0, 100.0), seed=3)
+    for budget in ({"refine_starts": -1}, {"refine_iters": -1}):
+        with pytest.raises(ValueError):
+            probe_goodness(system, plan, **budget)
+    # No search leaves the sampled floors; zero iterations only evaluate
+    # each start's initial simplex, which can only lower them.
+    sampled = probe_goodness(system, plan, refine_starts=0)
+    simplex = probe_goodness(system, plan, refine_iters=0)
+    searched = probe_goodness(system, plan)
+    for a, b, c in zip(sampled.rings, simplex.rings, searched.rings):
+        assert a.positive_samples == b.positive_samples == c.positive_samples == 20
+        assert a.floor >= b.floor >= c.floor
+    assert searched.rings[0].floor == pytest.approx(20.0, rel=1e-6)
+
+
 def test_sample_plan_validation():
     with pytest.raises(ValueError):
         SamplePlan(box=((1.0, -1.0),), count=10)
