@@ -37,6 +37,7 @@ from .verify import (
     DistanceConfig,
     FeasibleSetEmptyError,
     SamplePlan,
+    ValueOverflowError,
     slope,
     verify_bound,
 )
@@ -154,7 +155,7 @@ def _run_certify(cfg: RunConfig):
     ]
     for face in verdict.faces:
         entry = (
-            f"  face {face.face_index}: {face.status},"
+            f"  face {face.face_index}: {face.status} ({face.reason or face.method}),"
             f" objective_min {_g6(face.objective_min)}, samples {face.samples}"
         )
         if face.witness is not None:
@@ -247,6 +248,8 @@ def _run_slope(cfg: RunConfig):
             f"--point needs {system.n} coordinates, got {len(cfg.point)}"
         )
     out = slope(system, cfg.point)
+    if not all(map(math.isfinite, (out.value, *out.multipliers))):
+        raise UsageError(f"the slope at --point overflows floating point: {out.value}")
     payload = {
         "point": list(cfg.point),
         "slope": out.value,
@@ -422,7 +425,12 @@ def main(argv=None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        UsageError, PolynomialError, OSError, FaceEnumerationError, FeasibleSetEmptyError
+        UsageError,
+        PolynomialError,
+        OSError,
+        FaceEnumerationError,
+        FeasibleSetEmptyError,
+        ValueOverflowError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,12 +38,32 @@ depend on the rows or faces beside it, so this finds what one descent per
 face and stage would, with a fraction of the per-call numpy overhead;
 ``certify_face`` is the one-face case of the same search.
 
+Faces of dimension 0 and 1 are first decided in closed form (Sturm
+counts as in Basu, Pollack and Roy, *Algorithms in Real Algebraic
+Geometry*, ch. 2).  On a vertex each principal part is a monomial
+c_i x^{kappa_i} and the normalised objective is the constant
+prod c_i^2 det(I_p + K K^T), K with rows kappa_i, at least prod c_i^2.
+On an edge with primitive direction v the objective depends on t = x^v
+alone, as G(t) / H(|t|)^2 with G = det(R R^T) in Q[t] and H the product
+of the row gauges' unit-coefficient sums (see ``_edge_polynomials``).
+The rank drops on the torus exactly where G has a real root t != 0, and a
+Sturm count of G and of G(-t) on (0, inf) rules that out.  Then the
+minimum is the least of G's limits at 0 and infinity and of the
+objective at the critical points of G / H^2, found as positive roots of
+G'H - 2GH' and evaluated by the same rank test at a torus point on their
+orbit.  A face decided so whose minimum exceeds 10 tau_zero is reported
+"nondegenerate_probable" with ``method`` "exact" and no samples.  Every
+other face (dimension 2 or more, a vanishing principal part, a real root
+of G, or a minimum at most 10 tau_zero) goes to the search under its own
+index, so it draws the stream and gets the certificate it would alone.
+
 A reported "degenerate" verdict comes with a witness point; when the
 witness rounds to a nearby rational point at which the matrix drops rank
 in exact arithmetic the verdict is exact, otherwise it is numerical with
-the achieved objective.  A "nondegenerate_probable" verdict is evidence,
-not proof: the search is sampling plus local descent, never a
-positivity certificate.
+the achieved objective.  A "nondegenerate_probable" verdict from the
+search is evidence, not proof: sampling plus local descent, never a
+positivity certificate.  An exact one rests on an exact Sturm count; its
+minimum is a float.
 """
 
 from __future__ import annotations
@@ -336,11 +356,17 @@ class FaceCertificate:
     witness_exact: tuple[str, ...] | None
     samples: int
     seed: int
+    # "exact" when decided in closed form, "search" when sampled and descended.
+    method: str = "search"
+    # Why an inconclusive face is inconclusive: "axis_floor" or "objective_band".
+    reason: str | None = None
 
     def to_json(self) -> dict:
         return {
             "face": self.face_index,
             "status": self.status,
+            "method": self.method,
+            "reason": self.reason,
             "witness": list(self.witness) if self.witness is not None else None,
             "witness_exact": list(self.witness_exact)
             if self.witness_exact is not None
@@ -440,6 +466,233 @@ def _try_exact_witness(matrix: MDeltaMatrix, x: np.ndarray):
     return None
 
 
+# -- closed form on vertices and edges ---------------------------------------------
+#
+# A polynomial in one variable t is the list of its coefficients, constant
+# term first; the empty list is zero.
+
+
+def _padd(a: list, b: list) -> list:
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _pmul(a: list, b: list) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _pdot(a: list[list], b: list[list]) -> list:
+    """Sum of the products of two rows of polynomials, entry by entry."""
+    out = []
+    for x, y in zip(a, b):
+        out = _padd(out, _pmul(x, y))
+    return out
+
+
+def _pderiv(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _ptrim(a: list) -> list:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pdet(rows: list[list[list]]) -> list:
+    """Determinant of a square matrix of polynomials: Laplace expansion
+    along each row in turn, keeping every minor of the rows so far by its
+    column set, so p rows cost p 2^(p-1) products rather than p!."""
+    minors = {(): [1]}
+    for row in rows:
+        wider = {}
+        for cols, minor in minors.items():
+            for c, entry in enumerate(row):
+                if c not in cols and entry:
+                    # Column c sits after the columns of ``cols`` below it.
+                    term = _pmul(entry, minor)
+                    if sum(d > c for d in cols) % 2:
+                        term = [-v for v in term]
+                    key = tuple(sorted(cols + (c,)))
+                    wider[key] = _padd(wider.get(key, []), term)
+        minors = wider
+    return _ptrim(minors.get(tuple(range(len(rows))), []))
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with |lc(b)|^k a = q b + r and deg r < deg b, in integers:
+    positive multiples of the quotient and remainder of a by b."""
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    m, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) >= len(b):
+        f = sign * r[-1]
+        q = [m * c for c in q]
+        q[len(r) - len(b)] += f
+        r = [m * c for c in r]
+        for k, c in enumerate(b, len(r) - len(b)):
+            r[k] -= f * c
+        r.pop()
+    return q, _ptrim(r)
+
+
+class _Sturm:
+    """Sturm sequence of a nonzero polynomial with exact coefficients, for
+    counting and isolating its distinct roots on (0, inf).
+
+    The coefficients are scaled to integers and a factor t^k is divided
+    out, so 0 is not a root.  The sequence is P, P', -rem(P, P'), ...,
+    each remainder a positive multiple of the true one over its content,
+    which keeps every sign.  With V(t) its sign changes at t, P has
+    V(a) - V(b) distinct roots in (a, b) when neither a nor b is a root
+    of P, whether or not P is square-free (Basu, Pollack and Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2).
+    """
+
+    def __init__(self, poly: list):
+        p = _ptrim(poly)
+        while p[0] == 0:
+            p = p[1:]
+        scale = math.lcm(*(Fraction(c).denominator for c in p))
+        p = [int(c * scale) for c in p]
+        self.seq, r = [p], _pderiv(p)
+        while r:
+            content = math.gcd(*r)
+            self.seq.append([c // content for c in r])
+            r = [-c for c in _pseudo_divmod(self.seq[-2], self.seq[-1])[1]]
+        # Cauchy's bound: every root has |t| < 1 + max |a_k| / |a_deg| <= bound.
+        self.bound = 2 + max(map(abs, p[:-1]), default=0) // abs(p[-1])
+
+    @staticmethod
+    def sign(q: list[int], t: Fraction | None = None) -> int:
+        """The sign of q at t, from q(t) den(t)^deg q in integers, or at
+        +inf when t is None."""
+        value = q[-1]
+        if t is not None:
+            power = 1
+            for c in reversed(q[:-1]):
+                power *= t.denominator
+                value = value * t.numerator + c * power
+        return (value > 0) - (value < 0)
+
+    def changes(self, t: Fraction | None = None) -> int:
+        """Sign changes of the sequence at t, or at +inf when t is None."""
+        signs = [v for v in (self.sign(q, t) for q in self.seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def positive_count(self) -> int:
+        return self.changes(Fraction(0)) - self.changes()
+
+    def positive_roots(self) -> list[float]:
+        """The distinct roots on (0, inf), to double precision.
+
+        Intervals are halved at rational points that are not roots until
+        each holds one root.  There the square-free part P / gcd(P, P')
+        (the sequence ends in that gcd) changes sign, and is bisected in
+        floats.
+        """
+        free = _pseudo_divmod(self.seq[0], self.seq[-1])[0]
+        top = max(map(abs, free))
+        coeffs = [c / top for c in reversed(free)]
+        roots = []
+        low, high = Fraction(0), Fraction(self.bound)
+        stack = [(low, self.changes(low), high, self.changes(high))]
+        while stack:
+            a, va, b, vb = stack.pop()
+            if va - vb == 1:
+                lo, hi, above = float(a), float(b), self.sign(free, b)
+                while lo < (mid := (lo + hi) / 2) < hi:
+                    value = 0.0
+                    for c in coeffs:
+                        value = value * mid + c
+                    lo, hi = (lo, mid) if (value > 0) == (above > 0) else (mid, hi)
+                roots.append(mid)
+            elif va - vb > 1:
+                mid = (a + b) / 2
+                while self.sign(free, mid) == 0:
+                    mid = (a + mid) / 2
+                vm = self.changes(mid)
+                stack += [(a, va, mid, vm), (mid, vm, b, vb)]
+        return roots
+
+
+def _edge_polynomials(matrix: MDeltaMatrix):
+    """(G, H, v) on a face of dimension 0 or 1 whose principal parts are
+    all nonzero; None on any other face.
+
+    On an edge with primitive direction v, f_i_face = x^{a_i} g_i(t) with
+    t = x^v and g_i(0) != 0, so row i of the matrix is x^{a_i} times
+    R_i = [a_i g_i + v t g_i' | g_i e_i], and every gauge is |x^{a_i}|
+    times sum over supp(g_i) of |t|^s.  The objective is then
+    G(t) / H(|t|)^2 with G = det(R R^T) and H the product of those sums.
+    On a vertex every g_i is a constant c_i and v plays no part:
+    G = prod c_i^2 det(I_p + K K^T), with the vertex exponents as rows of K.
+    """
+    n, p, face = matrix.n, matrix.p, matrix.face
+    parts = [matrix.entries[i][n + i] for i in range(p)]
+    if face.dim > 1 or not all(part.terms for part in parts):
+        return None
+    v = (0,) * n
+    if face.dim == 1:
+        step = [b - a for a, b in zip(*face.vertices)]
+        v = tuple(c // math.gcd(*step) for c in step)
+    # On a vertex each part is one monomial, at height 0.
+    norm2 = sum(c * c for c in v) or 1
+    rows = []
+    H = [1]
+    for i, part in enumerate(parts):
+        height = {kappa: sum(a * b for a, b in zip(kappa, v)) for kappa in part.terms}
+        base = min(height, key=height.get)
+        g = [0] * ((max(height.values()) - height[base]) // norm2 + 1)
+        for kappa, c in part.terms.items():
+            # Integer arithmetic is several times faster than Fraction's.
+            g[(height[kappa] - height[base]) // norm2] = c.numerator if c.denominator == 1 else c
+        row = [[a * c + vj * k * c for k, c in enumerate(g)] for a, vj in zip(base, v)]
+        rows.append(row + [g if t == i else [] for t in range(p)])
+        H = _pmul(H, [int(c != 0) for c in g])
+    return _pdet([[_pdot(r, s) for s in rows] for r in rows]), H, v
+
+
+def _closed_form(matrix: MDeltaMatrix):
+    """(limit, points) on a face of dimension 0 or 1 whose objective G / H^2
+    has no zero on the torus, else None: the face is left to the search.
+
+    ``limit`` is the least of the objective's limits at t -> 0 and
+    t -> inf, and ``points`` (one per column) are torus points on the
+    orbits of its critical points: t = +u or -u, for each root u > 0 of
+    G'H - 2GH' with G(t) or G(-t) in the place of G.
+    """
+    data = _edge_polynomials(matrix)
+    if data is None:
+        return None
+    G, H, v = data
+    # A primitive v has an odd entry, so t = x^v takes both signs.
+    mirrored = [-c if k % 2 else c for k, c in enumerate(G)]
+    if _Sturm(G).positive_count() or _Sturm(mirrored).positive_count():
+        return None
+    # H has unit constant and leading coefficients, and deg G = 2 deg H:
+    # as t -> 0 or inf the matrix tends to that of an end vertex of the
+    # edge, which has full rank.
+    limit = min(G[0], G[-1])
+    norm2 = sum(c * c for c in v)
+    odd = next((j for j, c in enumerate(v) if c % 2), None)
+    points = []
+    for sign, branch in ((1, G), (-1, mirrored)):
+        crit = _ptrim(_padd(_pmul(_pderiv(branch), H), [-2 * c for c in _pmul(branch, _pderiv(H))]))
+        # On a vertex G and H are constants and crit is zero.
+        for u in _Sturm(crit).positive_roots() if crit else ():
+            # x^v = u at x = exp(log u v / |v|^2); a flipped odd
+            # coordinate flips the sign of t.
+            x = np.exp(math.log(u) * np.array(v) / norm2)
+            x[odd] *= sign
+            points.append(x)
+    return float(limit), np.array(points, dtype=float).reshape(-1, matrix.n).T
+
+
 def _certify_faces(
     matrices: Sequence[MDeltaMatrix], indices: Sequence[int], cfg: CertifyConfig
 ) -> list[FaceCertificate]:
@@ -511,6 +764,7 @@ def _certificate(
 ) -> FaceCertificate:
     witness = None
     witness_exact = None
+    reason = None
     if best_val <= cfg.tau_zero:
         exact = _try_exact_witness(matrix, best_x)
         interior = float(np.min(np.abs(best_x))) >= cfg.witness_floor
@@ -521,8 +775,10 @@ def _certificate(
                 witness_exact = tuple(rational_str(c) for c in exact)
         else:
             status = "inconclusive"
+            reason = "axis_floor"
     elif best_val <= 10 * cfg.tau_zero:
         status = "inconclusive"
+        reason = "objective_band"
     else:
         status = "nondegenerate_probable"
     return FaceCertificate(
@@ -534,15 +790,52 @@ def _certificate(
         witness_exact=witness_exact,
         samples=samples,
         seed=cfg.seed,
+        reason=reason,
     )
+
+
+def _certify(
+    matrices: Sequence[MDeltaMatrix], indices: Sequence[int], cfg: CertifyConfig
+) -> list[FaceCertificate]:
+    """Decide faces of dimension 0 and 1 in closed form, search the rest.
+
+    A face whose closed-form minimum exceeds 10 tau_zero is
+    ``nondegenerate_probable`` with no samples.  Every other face goes to
+    ``_certify_faces`` under its own index, so it draws its own stream and
+    gets the certificate it gets when searched alone.
+    """
+    forms = {k: form for k, m in enumerate(matrices) if (form := _closed_form(m)) is not None}
+    certificates = {}
+    if forms:
+        points = [form[1] for form in forms.values()]
+        owner = np.repeat(np.arange(len(forms)), [x.shape[1] for x in points])
+        values = _RankTest([matrices[k] for k in forms]).normalized(np.hstack(points), owner)
+        for slot, (k, (limit, _)) in enumerate(forms.items()):
+            # A NaN value fails the test below and sends the face to the search.
+            value = float(np.min(values[owner == slot], initial=limit))
+            if value > 10 * cfg.tau_zero:
+                certificates[k] = FaceCertificate(
+                    face_index=indices[k],
+                    support=matrices[k].face.support_points,
+                    status="nondegenerate_probable",
+                    objective_min=value,
+                    witness=None,
+                    witness_exact=None,
+                    samples=0,
+                    seed=cfg.seed,
+                    method="exact",
+                )
+    rest = [k for k in range(len(matrices)) if k not in certificates]
+    searched = _certify_faces([matrices[k] for k in rest], [indices[k] for k in rest], cfg)
+    certificates.update(zip(rest, searched))
+    return [certificates[k] for k in range(len(matrices))]
 
 
 def certify_face(
     matrix: MDeltaMatrix, cfg: CertifyConfig = CertifyConfig(), face_index: int = 0
 ) -> FaceCertificate:
-    """Search the torus for rank deficiency of one face matrix: the
-    one-face case of the search ``certify_system`` runs over every face."""
-    return _certify_faces((matrix,), (face_index,), cfg)[0]
+    """Certify one face matrix: the one-face case of ``certify_system``."""
+    return _certify((matrix,), (face_index,), cfg)[0]
 
 
 def certify_system(
@@ -559,7 +852,7 @@ def certify_system(
     if geometry is None:
         geometry = analyze_system(system)
     matrices = [build_m_delta(system, face) for face in geometry.faces]
-    faces = tuple(_certify_faces(matrices, range(len(matrices)), cfg))
+    faces = tuple(_certify(matrices, range(len(matrices)), cfg))
 
     if any(f.status == "degenerate" for f in faces):
         status = "degenerate"

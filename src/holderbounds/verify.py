@@ -48,6 +48,10 @@ class FeasibleSetEmptyError(RuntimeError):
     """No feasible point was found within the search budget."""
 
 
+class ValueOverflowError(ValueError):
+    """The system's values overflow floating point at a point."""
+
+
 def _minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first use: loading scipy
     costs more than half a second and tens of MB, which importing
@@ -477,6 +481,9 @@ class DistanceOracle:
     def _distances(self, X) -> list[DistanceResult]:
         cfg = self.cfg
         values = self.comp(X)[0].max(axis=1)
+        # A NaN or +inf value leaves the residual, and so the query, unmeasurable.
+        if not (values < np.inf).all():
+            raise ValueOverflowError("the system's values overflow floating point at a queried point")
         out: list[DistanceResult | None] = [
             DistanceResult(0.0, tuple(float(v) for v in x), float(v)) if v <= cfg.tau_feas else None
             for x, v in zip(X, values)
@@ -642,6 +649,10 @@ def _slope_from_data(values, grads, p, tau_active=None) -> SlopeResult:
     if tau_active is None:
         tau_active = 1e-8 * (1.0 + abs(fmax))
     active = [i for i in range(p) if fmax - values[i] <= tau_active]
+    if not active:
+        # Only a value that overflowed (a NaN, or inf - inf) leaves every
+        # component inactive.
+        raise ValueOverflowError("the system's values overflow floating point at the point")
     gm = np.asarray(grads)[active]
     if len(active) == 1:
         w = gm[0]
@@ -666,14 +677,20 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(A[:, None, :], A[:, :, None]))[:, 0, 0]
 
 
+def _active(values: np.ndarray) -> np.ndarray:
+    """Per row, the components ``_slope_from_data`` counts active at its
+    default tolerance; a row with none has values that overflowed."""
+    fmax = values.max(axis=1)
+    return fmax[:, None] - values <= (1e-8 * (1.0 + np.abs(fmax)))[:, None]
+
+
 def _slopes(values: np.ndarray, grads: np.ndarray, p: int) -> np.ndarray:
     """``_slope_from_data(values[i], grads[i], p).value`` for every row, bit for bit.
 
     A row with one active component takes its gradient's norm in one
     batch; any other row goes through ``_slope_from_data``.
     """
-    fmax = values.max(axis=1)
-    active = fmax[:, None] - values <= (1e-8 * (1.0 + np.abs(fmax)))[:, None]
+    active = _active(values)
     out = _row_norms(grads[np.arange(len(values)), active.argmax(axis=1)])
     for i in np.flatnonzero(active.sum(axis=1) != 1):
         out[i] = _slope_from_data(values[i], grads[i], p).value
@@ -785,7 +802,8 @@ class GoodnessReport:
 
 def _ring_slopes(comp, X, p):
     values, grads = comp(X)
-    mask = values.max(axis=1) > 0
+    # A sample whose values overflowed has no slope.
+    mask = (values.max(axis=1) > 0) & _active(values).any(axis=1)
     slopes = np.full(X.shape[0], np.nan)
     slopes[mask] = _slopes(values[mask], grads[mask], p)
     return slopes, mask
@@ -909,7 +927,9 @@ def probe_goodness(
         if not mask.any():
             rings.append((None, 0))
             continue
-        rings.append((float(np.nanmin(slopes)), int(mask.sum())))
+        # A gradient that overflowed gives a NaN slope.
+        defined = slopes[mask & ~np.isnan(slopes)]
+        rings.append((float(defined.min()) if defined.size else None, int(mask.sum())))
         best = np.argsort(np.where(np.isnan(slopes), np.inf, slopes))[:refine_starts]
         starts.extend(U[best])
         owners.extend([index] * len(best))
@@ -923,7 +943,7 @@ def probe_goodness(
         norm = _row_norms(points)
         ok = np.flatnonzero(~(norm < 1e-9))
         values, jac = comp(row_radius[rows[ok], None] * points[ok] / norm[ok, None])
-        positive = ~(values.max(axis=1) <= 0)
+        positive = ~(values.max(axis=1) <= 0) & _active(values).any(axis=1)
         out[ok[positive]] = _slopes(values[positive], jac[positive], p)
         return out
 
@@ -933,7 +953,9 @@ def probe_goodness(
     for index, (radius, (floor, positive)) in enumerate(zip(plan.rings, rings)):
         for value in found[owners == index]:
             if np.isfinite(value):
-                floor = min(floor, float(value))
+                floor = float(value) if floor is None else min(floor, float(value))
+        if floor is not None and not math.isfinite(floor):
+            floor = None  # every slope on the ring overflowed
         floors.append(RingFloor(float(radius), floor, positive))
 
     valid = [r.floor for r in floors if r.floor is not None]
@@ -947,6 +969,11 @@ def probe_goodness(
 
 
 # -- bound verification ------------------------------------------------------------
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    """JSON has no inf or NaN: a value that overflowed is reported as null."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -978,10 +1005,10 @@ class VerificationReport:
             "samples": [
                 {
                     "x": list(r.x),
-                    "residual": r.residual,
-                    "distance": r.distance,
-                    "slope": r.slope,
-                    "ratio": r.ratio,
+                    "residual": _finite_or_none(r.residual),
+                    "distance": _finite_or_none(r.distance),
+                    "slope": _finite_or_none(r.slope),
+                    "ratio": _finite_or_none(r.ratio),
                 }
                 for r in self.records
             ],

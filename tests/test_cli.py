@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from conftest import (
     DEMO_SYSTEMS,
     HALF_DISK_TEXT,
     SPHERE_CUBIC_TEXT,
+    random_convenient_system,
 )
 
 
@@ -183,25 +185,32 @@ def test_verify_rings_flag(system_file, capsys):
 
 
 def test_tau_flags_reach_certification(system_file, capsys):
-    path = system_file(HALF_DISK_TEXT)
-    code, out = _run(
-        capsys,
-        "certify",
-        path,
-        "--samples",
-        "128",
-        "--tau-axis",
-        "0.2",
-        "--tau-zero",
-        "1e-14",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "nondegenerate_probable"
-    # A single-stage schedule halves the reported sample count per face.
-    assert all(f["samples"] == 128 for f in payload["faces"])
+    methods = set()
+    # half_disk has only vertices and edges; sphere_cubic also has two
+    # faces of dimension 2, which are searched.
+    for text in (HALF_DISK_TEXT, SPHERE_CUBIC_TEXT):
+        path = system_file(text)
+        code, out = _run(
+            capsys,
+            "certify",
+            path,
+            "--samples",
+            "128",
+            "--tau-axis",
+            "0.2",
+            "--tau-zero",
+            "1e-14",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "nondegenerate_probable"
+        # A single-stage schedule halves the reported sample count per
+        # searched face; a face decided in closed form draws no samples.
+        assert all(f["samples"] == {"search": 128, "exact": 0}[f["method"]] for f in payload["faces"])
+        methods.update(f["method"] for f in payload["faces"])
+    assert methods == {"search", "exact"}
 
 
 @pytest.mark.parametrize(
@@ -307,3 +316,73 @@ def test_goodness_probe_never_imports_scipy():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_python_dash_m_runs_the_command():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pair = next(path for path in DEMO_SYSTEMS if path.stem == "degenerate_pair")
+    done = subprocess.run(
+        [sys.executable, "-m", "holderbounds", "certify", str(pair), "--samples", "64", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["status"] == "degenerate"
+
+
+def _demo(stem: str) -> str:
+    return str(next(path for path in DEMO_SYSTEMS if path.stem == stem))
+
+
+def _assert_clean_exit(capsys, argv) -> int:
+    """No traceback, a documented exit code, and JSON without NaN or inf."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), argv
+    if code != 2:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the output of {argv}"))
+    return code
+
+
+def test_overflowing_point_and_ring_exit_cleanly(tmp_path, capsys):
+    # The first two raised "attempt to get argmin of an empty sequence":
+    # the values overflow to inf and NaN, and inf - inf left no component
+    # active, so those ring samples are skipped.  On the cubic the values
+    # stay finite but every gradient norm overflows to inf, which was
+    # reported as a slope floor of Infinity.
+    slope = ["slope", _demo("half_disk"), "--point=1e200,1e200", "--format", "json"]
+    assert _assert_clean_exit(capsys, slope) == 2
+    cubic = tmp_path / "cubic.poly"
+    cubic.write_text("f1 = x^3 - 1", encoding="utf-8")
+    cases = [(_demo("quadratic_bowl"), 1e160, 20, 0), (str(cubic), 1e100, 5, 4)]
+    for path, radius, samples, positive in cases:
+        rings = ["verify", path, "--samples", str(samples), "--rings", str(radius), "--format", "json"]
+        assert _assert_clean_exit(capsys, rings) == 0
+        main(rings)
+        [ring] = json.loads(capsys.readouterr().out)["verification"]["rings"]
+        assert ring == {"R": radius, "positive_samples": positive, "slope_floor": None}
+
+
+def test_extreme_finite_flags_never_raise(tmp_path, capsys):
+    # Points and rings up to 1e300, and boxes from 1e100 to 1e300, on
+    # random small systems.
+    magnitudes = [0.0, 1e-300, 1.5, 1e10, 1e100, 1e155, 1e200, 1e300]
+    rng = random.Random(2)
+    codes = []
+    for case in range(30):
+        system = random_convenient_system(rng, max_vars=3, min_vars=1)
+        path = tmp_path / f"case{case}.poly"
+        path.write_text(system.to_text(), encoding="utf-8")
+        kind = case % 3
+        if kind == 0:
+            point = ",".join(str(rng.choice([-1, 1]) * rng.choice(magnitudes)) for _ in range(system.n))
+            argv = ["slope", str(path), f"--point={point}"]
+        elif kind == 1:
+            rings = sorted({rng.choice(magnitudes[1:]) for _ in range(rng.randint(1, 3))})
+            argv = ["verify", str(path), "--samples", "1", "--rings", ",".join(map(str, rings))]
+        else:
+            m = rng.choice(magnitudes[4:])
+            argv = ["verify", str(path), "--samples", "1", "--box=" + ",".join([f"{-m}:{m}"] * system.n)]
+        codes.append(_assert_clean_exit(capsys, argv + ["--format", "json"]))
+    assert {0, 2} <= set(codes)

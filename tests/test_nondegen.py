@@ -14,6 +14,7 @@ from holderbounds.nondegen import (
     CertifyConfig,
     MissingDecompositionError,
     _RankTest,
+    _certify_faces,
     _descend,
     build_m_delta,
     certify_face,
@@ -324,7 +325,7 @@ def test_certify_face_matches_per_stage_oracle(case):
     for system in systems:
         for index, face in enumerate(analyze_system(system).faces):
             M = build_m_delta(system, face)
-            assert certify_face(M, cfg, index) == certify_face_per_stage(M, cfg, index)
+            assert _certify_faces([M], [index], cfg)[0] == certify_face_per_stage(M, cfg, index)
 
 
 def test_certify_half_disk_nondegenerate(half_disk):
@@ -335,7 +336,9 @@ def test_certify_half_disk_nondegenerate(half_disk):
     for face in verdict.faces:
         assert face.status == "nondegenerate_probable"
         assert face.objective_min > 1e-6
-        assert face.samples >= FAST.samples
+        # Every face of an n = 2 system is a vertex or an edge: decided in
+        # closed form, with no samples.
+        assert face.method == "exact" and face.samples == 0
 
 
 def test_certify_degenerate_pair(degenerate_pair):
