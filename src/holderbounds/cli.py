@@ -233,7 +233,8 @@ def _run_verify(cfg: RunConfig):
     if verification.goodness is not None:
         for ring in verification.goodness.rings:
             floor = "n/a" if ring.floor is None else _g6(ring.floor)
-            lines.append(f"  ring R={_g6(ring.radius)}: slope floor {floor}")
+            overflowed = f", {ring.overflowed} samples overflowed" if ring.overflowed else ""
+            lines.append(f"  ring R={_g6(ring.radius)}: slope floor {floor}{overflowed}")
         lines.append(f"  slope-floor trend: {verification.goodness.trend}")
     bad = verdict.status == "degenerate" or verification.violations > 0
     return (EXIT_FINDING if bad else EXIT_OK), payload, "\n".join(lines)

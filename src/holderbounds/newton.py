@@ -10,14 +10,30 @@ at a time to the cone of a starting simplex.  The work grows with the
 number of facets met on the way, not with the C(m, k) candidate
 hyperplanes through k of m generators.
 
+Every face quantity comes from the facet table: each facet's normal,
+offset and tight mask (bit i set when generator i lies on the facet),
+checked once against every generator when the polytope is built.  A
+generator is a vertex when the facets through it meet in it alone.  The
+proper faces are the nonempty intersections of tight masks; a face's
+witness is the sum of its active facets' normals (those through it),
+its value the sum of their offsets, and its dimension k minus the rank
+of those normals.  That witness is least exactly on the face: for a
+generator u, <sum of n_f, u> = sum of <n_f, u> >= sum of o_f, with
+equality exactly on the common tight set, which must be the face's
+mask.  The face lattice is enumerated on first use
+(``all_proper_faces``, ``faces_at_infinity``) and cached, so
+``analyze_system`` enumerates only the summed polytope's, and
+``FaceEnumerationError`` fires then, once the lattice passes the cap.
+
 All exact linear algebra is one fraction-free Gauss-Jordan elimination,
 ``_eliminate``.  Its pivot columns give ranks (face dimensions, the
 exact rank test of ``nondegen``) and the affine basis: the first point
 differences outside the span of those before them.  Its free columns
 give primitive integer null vectors: the equations of the affine hull,
 which make hull membership a few integer dot products, and the facet
-normals of the starting simplex.  Only the Gram solves behind hull
-coordinates and lifted normals scale the pivots to 1 (``_row_reduce``).
+normals of the starting simplex.  The Gram solves behind hull
+coordinates and lifted normals keep each pivot as the denominator of
+its row, so they stay in integers too.
 
 Conventions:
 
@@ -35,8 +51,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .polysys import (
@@ -96,13 +113,6 @@ def _eliminate(rows) -> tuple[list[list], list[int]]:
     return a, pivots
 
 
-def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form, every pivot scaled to 1, as ``Fraction``s."""
-    a, pivots = _eliminate(rows)
-    heads = [a[r][col] for r, col in enumerate(pivots)] + [1] * (len(a) - len(pivots))
-    return [[Fraction(v) / h for v in row] for row, h in zip(a, heads)], pivots
-
-
 def _null_space(rows, width: int) -> list[tuple[int, ...]]:
     """Primitive basis of {x : <row, x> = 0 for every row} of integer rows.
 
@@ -121,14 +131,6 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
         g = gcd(*x)
         basis.append(tuple(v // g for v in x))
     return basis
-
-
-def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational into primitive integers."""
-    denom = lcm(*(Fraction(v).denominator for v in values)) if values else 1
-    ints = [int(Fraction(v) * denom) for v in values]
-    g = gcd(*ints) if any(ints) else 1
-    return tuple(v // max(g, 1) for v in ints)
 
 
 class _AffineFrame:
@@ -155,27 +157,45 @@ class _AffineFrame:
         q = [a if isinstance(a, int) else Fraction(a) for a in point]
         return all(_dot(e, q) == offset for e, offset in self.equations)
 
-    def _solve(self, columns) -> list[tuple[Fraction, ...]]:
-        """z with G z = c for each column c, G the Gram matrix of the basis."""
+    def _solve(self, columns) -> list[list[tuple[int, int]]]:
+        """z with G z = c for each column c, G the Gram matrix of the basis.
+
+        Each z_i comes back as an integer pair (numerator, denominator):
+        G is nonsingular, so its pivots lie on the diagonal and are the
+        denominators.
+        """
         gram = [[_dot(r1, r2) for r2 in self.basis] for r1 in self.basis]
-        a = _row_reduce([g + list(c) for g, c in zip(gram, zip(*columns))])[0]
-        return list(zip(*(row[self.dim :] for row in a)))
+        a, pivots = _eliminate([g + list(c) for g, c in zip(gram, zip(*columns))])
+        heads = [row[col] for row, col in zip(a, pivots)]
+        return [
+            [(row[self.dim + j], head) for row, head in zip(a, heads)]
+            for j in range(len(columns))
+        ]
 
     def coordinates(self, points: Sequence[Exponent]) -> list[tuple[int, ...]]:
-        """Integer coordinates of hull points (common positive rescaling)."""
+        """Integer coordinates of hull points (common positive rescaling).
+
+        The scale is the least common denominator of the exact coordinates.
+        """
         if not self.dim:
             return [() for _ in points]
         diffs = ([a - b for a, b in zip(u, self.base)] for u in points)
         raw = self._solve([[_dot(row, d) for row in self.basis] for d in diffs])
-        scale = lcm(*(c.denominator for y in raw for c in y))
-        return [tuple(int(c * scale) for c in y) for y in raw]
+        scale = lcm(*(abs(d) // gcd(n, d) for z in raw for n, d in z))
+        return [tuple(n * scale // d for n, d in z) for z in raw]
 
     def lift_normals(self, ws: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         """Primitive ambient normals inducing the coordinate functionals ``ws``."""
-        return [
-            _primitive([_dot(z, column) for column in zip(*self.basis)])
-            for z in self._solve(ws)
-        ]
+        out = []
+        for z in self._solve(ws):
+            scale = lcm(*(abs(d) for _, d in z))
+            normal = [
+                sum(n * scale // d * b for (n, d), b in zip(z, column))
+                for column in zip(*self.basis)
+            ]
+            g = gcd(*normal) or 1
+            out.append(tuple(v // g for v in normal))
+        return out
 
 
 # -- hull and face machinery ------------------------------------------------------
@@ -233,7 +253,12 @@ class PolytopeFace:
 
 @dataclass(frozen=True)
 class NewtonPolytope:
-    """Convex hull of a monomial support together with the origin."""
+    """Convex hull of a monomial support together with the origin.
+
+    ``_tight`` holds each facet's tight mask, aligned with ``facets``: bit
+    i is set when ``points[i]`` lies on the facet.  The proper faces are
+    enumerated from this table on first use, under ``_face_cap``.
+    """
 
     points: tuple[Exponent, ...]
     vertices: tuple[Exponent, ...]
@@ -241,7 +266,12 @@ class NewtonPolytope:
     dim: int
     nvars: int
     _frame: _AffineFrame = field(repr=False, compare=False)
-    _proper_faces: tuple[PolytopeFace, ...] = field(repr=False, compare=False)
+    _tight: tuple[int, ...] = field(repr=False, compare=False)
+    _face_cap: int = field(repr=False, compare=False)
+
+    @cached_property
+    def _proper_faces(self) -> tuple[PolytopeFace, ...]:
+        return _enumerate_faces(self)
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership test for a rational point."""
@@ -271,7 +301,8 @@ def _build_polytope(
             dim=0,
             nvars=nvars,
             _frame=frame,
-            _proper_faces=(),
+            _tight=(),
+            _face_cap=face_cap,
         )
 
     coords = frame.coordinates(pts)
@@ -291,57 +322,73 @@ def _build_polytope(
     # Canonical order, independent of the order the hull inserted points.
     facets.sort()
 
-    # Proper faces: closure of facet equality sets under intersection.
-    masks = {eq for _, _, eq in facets}
+    # A point is a vertex when the facets through it meet in it alone.
+    meets = [-1] * len(pts)
+    for _, _, tight in facets:
+        for i in range(len(pts)):
+            if tight >> i & 1:
+                meets[i] &= tight
+    return NewtonPolytope(
+        points=tuple(pts),
+        vertices=tuple(p for i, p in enumerate(pts) if meets[i] == 1 << i),
+        facets=tuple((n, o) for n, o, _ in facets),
+        dim=k,
+        nvars=nvars,
+        _frame=frame,
+        _tight=tuple(tight for _, _, tight in facets),
+        _face_cap=face_cap,
+    )
+
+
+def _enumerate_faces(polytope: NewtonPolytope) -> tuple[PolytopeFace, ...]:
+    """Proper faces from the facet table, closed under intersection.
+
+    The closure starts from the facets' tight masks and the vertices'
+    singletons.  A face's witness is the sum of its active facets' normals
+    (those whose tight mask contains the face): it is least, at the sum
+    of their offsets, exactly on the AND of their tight masks, which must
+    be the face itself.  Every intersection passes that check by
+    construction; a vertex singleton passes only while the tight masks
+    still agree with the vertices found when the polytope was built.
+    Raises ``FaceEnumerationError`` past the polytope's face cap.
+    """
+    if not polytope.facets:
+        return ()
+    pts = polytope.points
+    table = [(n, o, t) for (n, o), t in zip(polytope.facets, polytope._tight)]
+    masks = set(polytope._tight)
+    masks.update(1 << pts.index(v) for v in polytope.vertices)
+    cap = polytope._face_cap
     queue = list(masks)
     while queue:
+        if len(masks) > cap:
+            raise FaceEnumerationError(f"more than {cap} faces; raise the cap to proceed")
         current = queue.pop()
-        for _, _, eq in facets:
-            nxt = current & eq
+        for _, _, tight in table:
+            nxt = current & tight
             if nxt and nxt not in masks:
-                if len(masks) >= face_cap:
-                    raise FaceEnumerationError(
-                        f"more than {face_cap} faces; raise the cap to proceed"
-                    )
                 masks.add(nxt)
                 queue.append(nxt)
 
     proper = []
     for mask in masks:
-        support = tuple(pts[i] for i in range(len(pts)) if mask >> i & 1)
-        active = [f for f in facets if mask & f[2] == mask]
-        witness = tuple(
-            sum(normal[j] for normal, _, _ in active) for j in range(nvars)
-        )
-        values = [sum(a * b for a, b in zip(witness, p)) for p in pts]
-        value = min(values)
-        arg_mask = sum(1 << i for i, v in enumerate(values) if v == value)
-        if arg_mask != mask:
+        active = [f for f in table if mask & f[2] == mask]
+        if reduce(and_, (t for _, _, t in active), -1) != mask:
             raise RuntimeError("witness normal does not cut its face exactly")
+        normals = [n for n, _, _ in active]
         proper.append(
             PolytopeFace(
-                support=support,
-                witness=witness,
-                value=value,
+                support=tuple(p for i, p in enumerate(pts) if mask >> i & 1),
+                witness=tuple(map(sum, zip(*normals))),
+                value=sum(o for _, o, _ in active),
                 # The facets through a face of a k-polytope have normals
                 # of rank k - dim(face).
-                dim=k - len(_eliminate([normal for normal, _, _ in active])[1]),
+                dim=polytope.dim - len(_eliminate(normals)[1]),
             )
         )
-    proper.sort(key=lambda f: (f.dim, tuple(sorted(f.support, key=grlex_key))))
-
-    vertices = sorted(
-        {f.support[0] for f in proper if f.dim == 0}, key=grlex_key
-    )
-    return NewtonPolytope(
-        points=tuple(pts),
-        vertices=tuple(vertices),
-        facets=tuple((n, o) for n, o, _ in facets),
-        dim=k,
-        nvars=nvars,
-        _frame=frame,
-        _proper_faces=tuple(proper),
-    )
+    # Supports are in graded-lex order, as the points are.
+    proper.sort(key=lambda f: (f.dim, f.support))
+    return tuple(proper)
 
 
 # -- public polytope operations ----------------------------------------------------
@@ -486,8 +533,11 @@ def decompose_face(
         tuple(sum(c) for c in zip(*combo))
         for combo in itertools.product(*parts)
     }
-    frame = _AffineFrame(face.support_points)
-    if not sums.issuperset(face.vertices) or not all(map(frame.spans, sums)):
+    # A support point of F lies in aff(F); only the other sums need a frame.
+    outside = sums.difference(face.support_points)
+    if not sums.issuperset(face.vertices) or (
+        outside and not all(map(_AffineFrame(face.support_points).spans, outside))
+    ):
         raise DecompositionError("component faces do not sum back to the face")
     return tuple(parts)
 

@@ -778,9 +778,13 @@ def _boundary_biased_samples(rng, comp, base, anchors, count):
 
 @dataclass(frozen=True)
 class RingFloor:
+    """One ring's slope floor.  ``overflowed`` counts the ring's samples
+    outside S that have no finite slope: a value or a gradient overflowed."""
+
     radius: float
     floor: float | None
     positive_samples: int
+    overflowed: int
 
 
 @dataclass(frozen=True)
@@ -792,7 +796,12 @@ class GoodnessReport:
     def to_json(self) -> dict:
         return {
             "rings": [
-                {"R": r.radius, "slope_floor": r.floor, "positive_samples": r.positive_samples}
+                {
+                    "R": r.radius,
+                    "slope_floor": r.floor,
+                    "positive_samples": r.positive_samples,
+                    "overflowed": r.overflowed,
+                }
                 for r in self.rings
             ],
             "trend": self.trend,
@@ -801,12 +810,17 @@ class GoodnessReport:
 
 
 def _ring_slopes(comp, X, p):
+    """Slopes at the samples X (NaN where there is none), the mask of
+    samples with finite positive values, and how many samples outside S
+    have no finite slope because a value or a gradient overflowed."""
     values, grads = comp(X)
+    fmax = values.max(axis=1)
     # A sample whose values overflowed has no slope.
-    mask = (values.max(axis=1) > 0) & _active(values).any(axis=1)
+    mask = (fmax > 0) & _active(values).any(axis=1)
     slopes = np.full(X.shape[0], np.nan)
     slopes[mask] = _slopes(values[mask], grads[mask], p)
-    return slopes, mask
+    overflowed = ~(fmax <= 0) & ~np.isfinite(slopes)
+    return slopes, mask, int(overflowed.sum())
 
 
 def _sorted_simplices(sim, fsim):
@@ -914,7 +928,7 @@ def probe_goodness(
         raise ValueError("refine_starts and refine_iters must be nonnegative")
     comp = _CompiledSystem(system)
     n, p = system.n, system.p
-    rings = []  # (sample floor, positive samples) per ring
+    rings = []  # (sample floor, positive samples, overflowed samples) per ring
     starts, owners = [], []
     for index, radius in enumerate(plan.rings):
         rng = np.random.default_rng(
@@ -923,13 +937,14 @@ def probe_goodness(
         U = rng.standard_normal((plan.count, n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         X = radius * U
-        slopes, mask = _ring_slopes(comp, X, p)
+        slopes, mask, overflowed = _ring_slopes(comp, X, p)
         if not mask.any():
-            rings.append((None, 0))
+            rings.append((None, 0, overflowed))
             continue
         # A gradient that overflowed gives a NaN slope.
         defined = slopes[mask & ~np.isnan(slopes)]
-        rings.append((float(defined.min()) if defined.size else None, int(mask.sum())))
+        floor = float(defined.min()) if defined.size else None
+        rings.append((floor, int(mask.sum()), overflowed))
         best = np.argsort(np.where(np.isnan(slopes), np.inf, slopes))[:refine_starts]
         starts.extend(U[best])
         owners.extend([index] * len(best))
@@ -950,13 +965,13 @@ def probe_goodness(
     X0 = np.array(starts).reshape(-1, n)
     found = _nelder_mead(sphere_slopes, X0, refine_iters, 1e-10, 1e-12)
     floors = []
-    for index, (radius, (floor, positive)) in enumerate(zip(plan.rings, rings)):
+    for index, (radius, (floor, positive, overflowed)) in enumerate(zip(plan.rings, rings)):
         for value in found[owners == index]:
             if np.isfinite(value):
                 floor = float(value) if floor is None else min(floor, float(value))
         if floor is not None and not math.isfinite(floor):
             floor = None  # every slope on the ring overflowed
-        floors.append(RingFloor(float(radius), floor, positive))
+        floors.append(RingFloor(float(radius), floor, positive, overflowed))
 
     valid = [r.floor for r in floors if r.floor is not None]
     if len(valid) < 2:

@@ -24,13 +24,19 @@ from holderbounds.verify import (
 
 
 def _ring_slopes(comp, X, p):
+    """Slopes, the mask of positive samples, and the number of samples
+    outside S (``fmax <= 0`` fails) whose slope is not finite."""
     values, grads = comp(X)
     fmax = values.max(axis=1)
     mask = fmax > 0
     slopes = np.full(X.shape[0], np.nan)
-    for i in np.flatnonzero(mask):
-        slopes[i] = _slope_from_data(values[i], grads[i], p).value
-    return slopes, mask
+    overflowed = 0
+    for i in range(len(X)):
+        if mask[i]:
+            slopes[i] = _slope_from_data(values[i], grads[i], p).value
+        if not fmax[i] <= 0 and not np.isfinite(slopes[i]):
+            overflowed += 1
+    return slopes, mask, overflowed
 
 
 def probe_goodness(
@@ -59,9 +65,9 @@ def probe_goodness(
         U = rng.standard_normal((plan.count, n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         X = radius * U
-        slopes, mask = _ring_slopes(comp, X, p)
+        slopes, mask, overflowed = _ring_slopes(comp, X, p)
         if not mask.any():
-            floors.append(RingFloor(float(radius), None, 0))
+            floors.append(RingFloor(float(radius), None, 0, overflowed))
             continue
         floor = float(np.nanmin(slopes))
 
@@ -85,7 +91,7 @@ def probe_goodness(
             )
             if np.isfinite(res.fun):
                 floor = min(floor, float(res.fun))
-        floors.append(RingFloor(float(radius), floor, int(mask.sum())))
+        floors.append(RingFloor(float(radius), floor, int(mask.sum()), overflowed))
 
     valid = [r.floor for r in floors if r.floor is not None]
     if len(valid) < 2:

@@ -13,7 +13,15 @@ library against both.
 one elimination helper took over: it reduces each new point difference
 against the basis so far in ``Fraction``s, solves the Gram system once
 per point, and builds the starting simplex's facet normals from k + 1
-Bareiss determinants each (``_hyperplane_normal``).
+Bareiss determinants each (``_hyperplane_normal``).  Its Gram solves go
+through ``_row_reduce``, which scales every pivot to 1, and its normals
+through ``_primitive``; ``facets_by_incremental_frame`` lifts a hull's
+facets with it.
+
+``proper_faces_by_dot_products`` is the face enumeration ``newton`` used
+before it derived faces from the facet table alone: it recomputes every
+facet's tight mask, closes them under intersection, and checks each
+face's witness by its dot product with every generator.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 from unittest import mock
 
@@ -31,14 +39,30 @@ from holderbounds import newton
 from holderbounds.newton import (
     DecompositionError,
     FaceEnumerationError,
+    PolytopeFace,
     _build_polytope,
-    _primitive,
-    _row_reduce,
+    _eliminate,
     min_face,
     min_support,
 )
+from holderbounds.polysys import grlex_key
 
 CANDIDATE_CAP = 5_000_000
+
+
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form, every pivot scaled to 1, as ``Fraction``s."""
+    a, pivots = _eliminate(rows)
+    heads = [a[r][col] for r, col in enumerate(pivots)] + [1] * (len(a) - len(pivots))
+    return [[Fraction(v) / h for v in row] for row, h in zip(a, heads)], pivots
+
+
+def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale a rational vector by a positive rational into primitive integers."""
+    denom = lcm(*(Fraction(v).denominator for v in values)) if values else 1
+    ints = [int(Fraction(v) * denom) for v in values]
+    g = gcd(*ints) if any(ints) else 1
+    return tuple(v // max(g, 1) for v in ints)
 
 
 def _int_det(matrix) -> int:
@@ -241,3 +265,61 @@ def decompose_face_by_hull_rebuild(face, polytopes):
     if set(recombined.vertices) != set(original.vertices):
         raise DecompositionError("component faces do not sum back to the face")
     return tuple(parts)
+
+
+def proper_faces_by_dot_products(polytope) -> tuple[PolytopeFace, ...]:
+    """Every proper face, each witness checked against every generator."""
+    pts = polytope.points
+    facets = []
+    for normal, offset in polytope.facets:
+        values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
+        assert min(values) == offset
+        facets.append((normal, offset, sum(1 << i for i, v in enumerate(values) if v == offset)))
+
+    masks = {eq for _, _, eq in facets}
+    queue = list(masks)
+    while queue:
+        current = queue.pop()
+        for _, _, eq in facets:
+            nxt = current & eq
+            if nxt and nxt not in masks:
+                masks.add(nxt)
+                queue.append(nxt)
+
+    proper = []
+    for mask in masks:
+        support = tuple(pts[i] for i in range(len(pts)) if mask >> i & 1)
+        active = [f for f in facets if mask & f[2] == mask]
+        witness = tuple(
+            sum(normal[j] for normal, _, _ in active) for j in range(polytope.nvars)
+        )
+        values = [sum(a * b for a, b in zip(witness, p)) for p in pts]
+        value = min(values)
+        arg_mask = sum(1 << i for i, v in enumerate(values) if v == value)
+        if arg_mask != mask:
+            raise RuntimeError("witness normal does not cut its face exactly")
+        rank = len(_row_reduce([normal for normal, _, _ in active])[1])
+        proper.append(PolytopeFace(support, witness, value, polytope.dim - rank))
+    proper.sort(key=lambda f: (f.dim, tuple(sorted(f.support, key=grlex_key))))
+    return tuple(proper)
+
+
+def vertices_by_dot_products(polytope) -> tuple:
+    """The points that are 0-dimensional faces, in graded-lex order."""
+    if not polytope.facets:
+        return polytope.points
+    faces = proper_faces_by_dot_products(polytope)
+    return tuple(sorted({f.support[0] for f in faces if f.dim == 0}, key=grlex_key))
+
+
+def facets_by_incremental_frame(points) -> tuple:
+    """The facet pairs of conv(points), lifted by ``IncrementalAffineFrame``."""
+    frame = IncrementalAffineFrame(list(points))
+    if not frame.dim:
+        return ()
+    coords = frame.coordinates(points)
+    facets = []
+    for w, _ in newton._hull_coord_facets(coords, frame.dim, frame.simplex):
+        normal = frame.lift_normal(w)
+        facets.append((normal, min(sum(a * b for a, b in zip(normal, p)) for p in points)))
+    return tuple(sorted(facets))

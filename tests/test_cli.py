@@ -355,13 +355,34 @@ def test_overflowing_point_and_ring_exit_cleanly(tmp_path, capsys):
     assert _assert_clean_exit(capsys, slope) == 2
     cubic = tmp_path / "cubic.poly"
     cubic.write_text("f1 = x^3 - 1", encoding="utf-8")
-    cases = [(_demo("quadratic_bowl"), 1e160, 20, 0), (str(cubic), 1e100, 5, 4)]
-    for path, radius, samples, positive in cases:
+    # Every sample outside S overflowed: all 20 values on the bowl, and
+    # the gradients at the cubic's 4 positive samples.
+    cases = [(_demo("quadratic_bowl"), 1e160, 20, 0, 20), (str(cubic), 1e100, 5, 4, 4)]
+    for path, radius, samples, positive, overflowed in cases:
         rings = ["verify", path, "--samples", str(samples), "--rings", str(radius), "--format", "json"]
         assert _assert_clean_exit(capsys, rings) == 0
         main(rings)
         [ring] = json.loads(capsys.readouterr().out)["verification"]["rings"]
-        assert ring == {"R": radius, "positive_samples": positive, "slope_floor": None}
+        assert ring == {
+            "R": radius,
+            "positive_samples": positive,
+            "slope_floor": None,
+            "overflowed": overflowed,
+        }
+
+
+def test_overflowed_ring_samples_are_counted(capsys):
+    argv = ["verify", _demo("quadratic_bowl"), "--samples", "20", "--rings", "2,1e160"]
+    assert main(argv + ["--format", "json"]) == 0
+    rings = json.loads(capsys.readouterr().out)["verification"]["rings"]
+    assert [(r["R"], r["overflowed"], r["positive_samples"]) for r in rings] == [
+        (2.0, 0, 20),
+        (1e160, 20, 0),
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  ring R=2: slope floor 4" in lines
+    assert "  ring R=1e+160: slope floor n/a, 20 samples overflowed" in lines
 
 
 def test_extreme_finite_flags_never_raise(tmp_path, capsys):

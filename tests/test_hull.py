@@ -1,8 +1,9 @@
-"""The double-description hull and the hull-free decomposition check.
+"""The double-description hull, the face lattice and the decomposition check.
 
-Both are compared against the code they replaced, kept in
-``hull_oracle.py``: the brute-force facet search and the check that
-rebuilds two hulls per face.
+Each is compared against the code it replaced, kept in ``hull_oracle.py``:
+the brute-force facet search, the face enumeration that checks every
+witness against every generator, and the check that rebuilds two hulls
+per face.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from holderbounds import newton
 from holderbounds.newton import (
     DecompositionError,
+    FaceEnumerationError,
     _AffineFrame,
     _build_polytope,
     _hull_coord_facets,
@@ -36,11 +40,14 @@ from hull_oracle import (
     IncrementalAffineFrame,
     brute_force_hull,
     decompose_face_by_hull_rebuild,
+    facets_by_incremental_frame,
+    proper_faces_by_dot_products,
+    vertices_by_dot_products,
 )
 
-DEMO_SYSTEMS = sorted(
-    (Path(__file__).resolve().parent.parent / "demos" / "systems").glob("*.poly")
-)
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_SYSTEMS = sorted((ROOT / "demos" / "systems").glob("*.poly"))
+BENCH_SYSTEMS = sorted((ROOT / "bench" / "systems").glob("*.poly"))
 
 # n = 6, p = 2 with 53 sum generators: the brute-force search would try
 # C(53, 6) ~ 2.3e7 hyperplanes, above its cap of 5e6.
@@ -107,6 +114,87 @@ def test_decompose_check_matches_hull_rebuild_oracle():
                 raised += new[0]
     # Both outcomes occur: a foreign witness is rejected, the face's own is not.
     assert 0 < raised < pairs
+
+
+def _lattice_systems():
+    for path in DEMO_SYSTEMS + BENCH_SYSTEMS:
+        yield path.name, parse_system(path.read_text())
+    yield "scale", parse_system(SCALE_TEXT)
+    # Polytopes of lower dimension than their ambient space.
+    yield "flat segment", parse_system("f1 = x*y + x^2*y^2")
+    yield "flat triangle", parse_system("f1 = x*y + x*z\nf2 = y*z")
+    for seed in range(40):
+        rng = random.Random(1000 + seed)
+        yield f"seed {seed}", random_convenient_system(rng, max_vars=5, max_polys=3)
+
+
+def test_lattice_matches_dot_product_oracle():
+    names = []
+    for name, system in _lattice_systems():
+        parts = [newton_polytope(f) for f in system.polys]
+        for P in (*parts, minkowski_sum(parts)):
+            assert P.vertices == vertices_by_dot_products(P), name
+            assert P.facets == facets_by_incremental_frame(P.points), name
+            assert all_proper_faces(P) == proper_faces_by_dot_products(P), name
+        names.append(name)
+    assert len(names) == len(DEMO_SYSTEMS) + len(BENCH_SYSTEMS) + 43
+    assert len(DEMO_SYSTEMS) >= 6 and len(BENCH_SYSTEMS) >= 3
+
+
+def test_corrupted_tight_mask_fails_the_face_cut_check():
+    # Moving a vertex onto or off a facet leaves some vertex whose facets
+    # no longer meet in it alone.
+    flips = 0
+    for system in (parse_system(path.read_text()) for path in DEMO_SYSTEMS):
+        total = minkowski_sum([newton_polytope(f) for f in system.polys])
+        for v in total.vertices:
+            bit = 1 << total.points.index(v)
+            for f in range(len(total.facets)):
+                tight = list(total._tight)
+                tight[f] ^= bit
+                corrupted = replace(total, _tight=tuple(tight))
+                with pytest.raises(RuntimeError, match="does not cut its face exactly"):
+                    all_proper_faces(corrupted)
+                flips += 1
+    assert flips > 50
+
+
+def test_analyze_system_enumerates_no_component_lattice():
+    for path in DEMO_SYSTEMS + BENCH_SYSTEMS:
+        system = parse_system(path.read_text())
+        with mock.patch.object(
+            newton, "_enumerate_faces", wraps=newton._enumerate_faces
+        ) as enumerate_faces:
+            geometry = analyze_system(system)
+        calls = [call.args[0] for call in enumerate_faces.call_args_list]
+        assert len(calls) == 1 and calls[0] is geometry.sum_polytope, path.name
+        if system.p > 1:
+            assert all(P is not geometry.sum_polytope for P in geometry.polytopes)
+
+
+def test_face_cap_fires_when_the_sum_lattice_is_enumerated(half_disk):
+    # Building enumerates no lattice, so the components build under the
+    # cap; the sum's six faces exceed it.
+    for f in half_disk.polys:
+        newton_polytope(f, face_cap=2)
+    with pytest.raises(FaceEnumerationError):
+        analyze_system(half_disk, face_cap=2)
+
+
+def test_decompose_frame_path_matches_hull_rebuild():
+    # (1, 1) is a point of f1's support on the edge from (2, 0) to (0, 2),
+    # not a vertex, so the sum (1, 1) + (2, 0) = (3, 1) is no generator of
+    # the sum polytope and needs the affine frame of its face.
+    system = parse_system("f1 = x^2 + x*y + y^2 + 1\nf2 = x^2 + y^2 + 1")
+    parts = [newton_polytope(f) for f in system.polys]
+    framed = []
+    for face in faces_at_infinity(minkowski_sum(parts)):
+        with mock.patch.object(newton, "_AffineFrame", wraps=newton._AffineFrame) as frame:
+            decomposition = decompose_face(face, parts)
+        assert decomposition == decompose_face_by_hull_rebuild(face, parts)
+        if frame.call_count:
+            framed.append(face.support_points)
+    assert framed == [((0, 4), (2, 2), (4, 0))]
 
 
 def test_scale_system_beyond_the_old_candidate_cap():
