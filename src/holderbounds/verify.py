@@ -10,8 +10,10 @@ max function, then fits the best empirical constant ``c`` in
 
 Distances to a semialgebraic set are NP-hard in general, so the oracle
 is an upper-bound estimator: local projections from the nearest points
-of a feasible anchor pool (found from a feasibility grid), plus the
-Gauss-Newton projection of the query itself.  All queries are projected
+of a feasible anchor pool, plus the Gauss-Newton projection of the query
+itself.  The pool comes from a feasibility grid: its least infeasible
+draws descend together by damped Gauss-Newton steps on the squared
+violation.  All queries are projected
 together: each (query, anchor) pair is one row of a batched SQP
 iteration with the exact Lagrangian Hessian, whose QP subproblems are
 solved by enumerating active sets.  Rows where SQP fails (no valid active
@@ -54,10 +56,10 @@ class ValueOverflowError(ValueError):
 
 def _minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first use: loading scipy
-    costs more than half a second and tens of MB, which importing
-    ``holderbounds`` for anything but a distance search would pay for
-    nothing.  Only the distance oracle's feasibility search and SLSQP
-    fallback call it."""
+    costs more than half a second and tens of MB, which every run that
+    never needs it would pay for nothing.  Only the distance oracle's SLSQP
+    fallback calls it; the anchor pool and the lockstep projections run
+    on numpy alone."""
     from scipy import optimize
 
     return optimize.minimize(*args, **kwargs)
@@ -135,6 +137,13 @@ _MULTIPLIER_CAP = 1e4
 # past it (p = 3 gives at most 8 * max(n, 3)) sends every row to the
 # fallback, whose memory is linear in p.
 _QP_WIDTH = 256
+# Iteration cap of the anchor pool's Gauss-Newton descent.
+_POOL_ITERS = 200
+
+
+def _squared_violation(values: np.ndarray) -> np.ndarray:
+    """sum_i [f_i]_+^2 for every row of values: inf or NaN where a value overflowed."""
+    return (np.maximum(values, 0.0) ** 2).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,9 @@ class DistanceOracle:
     """Upper-bound estimator of the distance to {x : all f_i(x) <= 0}.
 
     A feasibility pre-pass collects a pool of (near-)feasible anchor
-    points.  ``distances`` projects every infeasible query from its
+    points (``feasible_pool``: one batched Gauss-Newton descent of the
+    squared violation from the least infeasible grid draws, then the
+    polish).  ``distances`` projects every infeasible query from its
     nearest anchors in lockstep: each (query, anchor) pair is one row of
     a batched SQP iteration (``_lockstep``).  A row that finds no valid
     QP active set, whose multipliers blow up (the constraint
@@ -208,36 +219,73 @@ class DistanceOracle:
 
     # feasibility ------------------------------------------------------------
 
-    def _violation(self, x):
-        """Squared positive part of f at x and its gradient."""
-        values, jac = self.comp.one(x)
-        pos = np.maximum(values, 0.0)
-        return float((pos**2).sum()), 2.0 * pos @ jac
+    def _gauss_newton_step(self, values, jac):
+        """Minimum-norm least-squares step on every row's components above
+        ``tau_feas / 10``, for the rows that have one: some such component,
+        and a Jacobian on them that does not vanish.  Returns the mask of
+        those rows and their steps."""
+        active = values > self.cfg.tau_feas * 0.1
+        J = np.where(active[:, :, None], jac, 0.0)
+        go = active.any(axis=1) & (np.sqrt((J * J).sum(axis=(1, 2))) >= 1e-12)
+        r = np.where(active, values, 0.0)[go]
+        return go, np.einsum("rjp,rp->rj", np.linalg.pinv(J[go]), r)
 
     def _polish(self, X):
         """Gauss-Newton push of every row of X onto the feasible side.
 
-        Each row takes minimum-norm least-squares steps on its components
-        above ``tau_feas / 10`` and stops when none is, when their
-        Jacobian vanishes or when a step is not finite or exceeds 1e3.
+        Each row takes ``_gauss_newton_step``s and stops when it has none
+        or when a step is not finite or exceeds 1e3.
         """
         X = np.array(X, dtype=float)
         live = np.arange(X.shape[0])
         for _ in range(self.cfg.polish_iters):
-            values, jac = self.comp(X[live])
-            active = values > self.cfg.tau_feas * 0.1
-            J = np.where(active[:, :, None], jac, 0.0)
-            go = active.any(axis=1) & (np.sqrt((J * J).sum(axis=(1, 2))) >= 1e-12)
-            live, J, r = live[go], J[go], np.where(active, values, 0.0)[go]
+            go, step = self._gauss_newton_step(*self.comp(X[live]))
+            live = live[go]
             if live.size == 0:
                 break
-            step = np.einsum("rjp,rp->rj", np.linalg.pinv(J), r)
             fine = np.isfinite(step).all(axis=1) & (np.linalg.norm(step, axis=1) <= 1e3)
             live = live[fine]
             X[live] -= step[fine]
         return X
 
+    def _descend(self, X):
+        """Damped Gauss-Newton descent of the squared violation from every row of X.
+
+        Each row takes ``_gauss_newton_step``s of any length, each halved
+        (at most 40 times) until it lowers ``_squared_violation``; a row
+        stops when it has no step or no halving helps, or after
+        ``_POOL_ITERS`` steps.  Rows never interact.
+        """
+        X = np.array(X, dtype=float)
+        values, jac = self.comp(X)
+        live = np.arange(X.shape[0])
+        for _ in range(_POOL_ITERS):
+            go, step = self._gauss_newton_step(values[live], jac[live])
+            live, pending, t = live[go], np.arange(go.sum()), 1.0
+            for _ in range(40):
+                if pending.size == 0:
+                    break
+                rows = live[pending]
+                trial = X[rows] - t * step[pending]
+                trial_values, trial_jac = self.comp(trial)
+                ok = _squared_violation(trial_values) < _squared_violation(values[rows])
+                moved = rows[ok]
+                X[moved], values[moved], jac[moved] = trial[ok], trial_values[ok], trial_jac[ok]
+                pending, t = pending[~ok], 0.5 * t
+            live = np.delete(live, pending)
+            if live.size == 0:
+                break
+        return X
+
     def feasible_pool(self) -> np.ndarray:
+        """At most ``multistarts`` distinct feasible anchors.
+
+        The starts are the ``max(16, multistarts)`` least infeasible of
+        ``grid_points`` uniform draws in the search box, less those whose
+        squared violation overflows.  The infeasible ones ``_descend``
+        together; every start is then polished, and the feasible ones
+        enter in start order unless within 1e-7 of an earlier anchor.
+        """
         if self._pool is not None:
             return self._pool
         cfg = self.cfg
@@ -247,26 +295,21 @@ class DistanceOracle:
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         draws = rng.uniform(lo, hi, size=(cfg.grid_points, n))
-        scores = (np.maximum(self.comp(draws)[0], 0.0) ** 2).sum(axis=1)
-        order = np.argsort(scores)
         found = []
         if cfg.known_feasible:
             known = self._polish(np.array(cfg.known_feasible, dtype=float))
             values = self.comp(known)[0].max(axis=1)
             found.extend(known[values <= cfg.tau_feas])
-        for idx in order[: max(16, cfg.multistarts)]:
-            start = draws[idx]
-            if scores[idx] > 0:
-                res = _minimize(
-                    self._violation,
-                    start,
-                    jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": 200},
-                )
-                start = res.x
-            point = self._polish(start[None])[0]
-            if self.comp.values_one(point).max() <= cfg.tau_feas:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _squared_violation(self.comp(draws)[0])
+            picked = np.argsort(scores)[: max(16, cfg.multistarts)]
+            picked = picked[scores[picked] < np.inf]
+            starts, infeasible = draws[picked], scores[picked] > 0
+            starts[infeasible] = self._descend(starts[infeasible])
+            points = self._polish(starts)
+            values = self.comp(points)[0].max(axis=1)
+        for point, value in zip(points, values):
+            if value <= cfg.tau_feas:
                 if not any(np.linalg.norm(point - q) < 1e-7 for q in found):
                     found.append(point)
             if len(found) >= cfg.multistarts:

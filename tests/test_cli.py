@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,30 @@ def test_goodness_probe_never_imports_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_desk_verify_commands_never_import_scipy():
+    # The anchor pool descends without scipy, and on the half disk and the
+    # bowl every lockstep projection converges, so the SLSQP fallback, the
+    # last user of scipy, never runs.
+    script = (
+        "import sys\n"
+        "from holderbounds.cli import RunConfig, run\n"
+        "half_disk, bowl = sys.argv[1:]\n"
+        "box = ((-3.0, 3.0), (-3.0, 3.0))\n"
+        "for seed in (1, 7, 42):\n"
+        "    run(RunConfig(command='verify', input_path=half_disk, seed=seed, samples=500, box=box, output_format='json'))\n"
+        "    run(RunConfig(command='verify', input_path=bowl, seed=seed, samples=500, rings=(2.0, 8.0, 32.0), output_format='json'))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, _demo("half_disk"), _demo("quadratic_bowl")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_python_dash_m_runs_the_command():
     src = str(Path(__file__).resolve().parent.parent / "src")
     pair = next(path for path in DEMO_SYSTEMS if path.stem == "degenerate_pair")
@@ -407,3 +432,30 @@ def test_extreme_finite_flags_never_raise(tmp_path, capsys):
             argv = ["verify", str(path), "--samples", "1", "--box=" + ",".join([f"{-m}:{m}"] * system.n)]
         codes.append(_assert_clean_exit(capsys, argv + ["--format", "json"]))
     assert {0, 2} <= set(codes)
+
+
+@pytest.mark.parametrize("name", ["quartic", "half_disk", "quadratic_bowl", "sphere_cubic"])
+def test_verify_over_huge_boxes_finds_the_feasible_set(name, tmp_path, capsys):
+    # Anchors from starts of size 1e10 take steps of that size.  A pool
+    # descent with the polish's 1e3 step cap found no anchor on the quartic
+    # and exited 2, "S is possibly empty".
+    if name == "quartic":
+        path = tmp_path / "quartic.poly"
+        path.write_text("f1 = 2*x^4 + 2*y", encoding="utf-8")
+        path, n, samples = str(path), 2, "1"
+    else:
+        path, samples = _demo(name), "5"
+        n = 3 if name == "sphere_cubic" else 2
+    box = "--box=" + ",".join(["-1e10:1e10"] * n)
+    assert _assert_clean_exit(capsys, ["verify", path, "--samples", samples, box, "--format", "json"]) == 0
+
+
+def test_overflowing_pool_draws_raise_no_warning(capsys):
+    # In a box of 1e100 every draw's squared violation on the half disk
+    # overflows; those draws are dropped silently and, none being left, S
+    # reads as possibly empty.
+    argv = ["verify", _demo("half_disk"), "--samples", "5", "--box=-1e100:1e100,-1e100:1e100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "S is possibly empty" in capsys.readouterr().err
