@@ -12,106 +12,43 @@ Pipeline for a polynomial inequality system F = (f_1, ..., f_p):
 5. ``verify``   -- residuals, a distance upper-bound oracle, min-norm
    slopes, goodness-at-infinity probes, and empirical bound fitting.
 6. ``cli``      -- the ``holderbounds`` command.
+
+``evaluator`` holds the compiled float map that ``nondegen`` and
+``verify`` evaluate through.  Importing the package imports none of
+these: each public name loads its module on first access, so parsing and
+Newton geometry, which are exact, never load numpy.
 """
 
-from .bounds import (
-    ExponentReport,
-    QuadraticBound,
-    holder_exponent,
-    quadratic_bound,
-    stability_radius,
-)
-from .newton import (
-    ConvenienceReport,
-    FaceAtInfinity,
-    NewtonPolytope,
-    SystemGeometry,
-    analyze_system,
-    decompose_face,
-    faces_at_infinity,
-    is_convenient,
-    min_face,
-    min_support,
-    minkowski_sum,
-    newton_polytope,
-)
-from .nondegen import (
-    CertifyConfig,
-    FaceCertificate,
-    MDeltaMatrix,
-    NondegVerdict,
-    build_m_delta,
-    certify_face,
-    certify_system,
-    minor_norm_objective,
-    normalized_minor_objective,
-)
-from .polysys import (
-    Polynomial,
-    PolySystem,
-    evaluate,
-    gradient,
-    parse_system,
-    principal_part,
-)
-from .verify import (
-    DistanceConfig,
-    DistanceOracle,
-    GoodnessReport,
-    SamplePlan,
-    SlopeResult,
-    VerificationReport,
-    distance_to_S,
-    probe_goodness,
-    residual,
-    slope,
-    verify_bound,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvenienceReport",
-    "CertifyConfig",
-    "DistanceConfig",
-    "DistanceOracle",
-    "ExponentReport",
-    "FaceAtInfinity",
-    "FaceCertificate",
-    "GoodnessReport",
-    "MDeltaMatrix",
-    "NewtonPolytope",
-    "NondegVerdict",
-    "Polynomial",
-    "PolySystem",
-    "QuadraticBound",
-    "SamplePlan",
-    "SlopeResult",
-    "SystemGeometry",
-    "VerificationReport",
-    "analyze_system",
-    "build_m_delta",
-    "certify_face",
-    "certify_system",
-    "decompose_face",
-    "distance_to_S",
-    "evaluate",
-    "faces_at_infinity",
-    "gradient",
-    "holder_exponent",
-    "is_convenient",
-    "min_face",
-    "min_support",
-    "minkowski_sum",
-    "minor_norm_objective",
-    "newton_polytope",
-    "normalized_minor_objective",
-    "parse_system",
-    "principal_part",
-    "probe_goodness",
-    "quadratic_bound",
-    "residual",
-    "slope",
-    "stability_radius",
-    "verify_bound",
-]
+# Public name -> the module that defines it.
+_HOME = {
+    name: module
+    for module, names in {
+        "bounds": "ExponentReport QuadraticBound holder_exponent quadratic_bound stability_radius",
+        "newton": "ConvenienceReport FaceAtInfinity NewtonPolytope SystemGeometry analyze_system"
+        " decompose_face faces_at_infinity is_convenient min_face min_support minkowski_sum"
+        " newton_polytope",
+        "nondegen": "CertifyConfig FaceCertificate MDeltaMatrix NondegVerdict build_m_delta"
+        " certify_face certify_system minor_norm_objective normalized_minor_objective",
+        "polysys": "Polynomial PolySystem evaluate gradient parse_system principal_part",
+        "verify": "DistanceConfig DistanceOracle GoodnessReport SamplePlan SlopeResult"
+        " VerificationReport distance_to_S probe_goodness residual slope verify_bound",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Load a public name's module on first use (``sys.modules`` caches it)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

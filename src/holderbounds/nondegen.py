@@ -77,8 +77,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .evaluator import _CompiledMap
 from .newton import FaceAtInfinity, SystemGeometry, _eliminate, analyze_system
-from .polysys import Exponent, Polynomial, PolySystem, _CompiledMap, principal_part, rational_str
+from .polysys import Exponent, Polynomial, PolySystem, principal_part, rational_str
 
 
 class MissingDecompositionError(ValueError):

@@ -28,7 +28,7 @@ steps can jump to another basin), and in a nearer one as often.  Upper
 bounds make every fitted constant conservative in the safe direction
 (ratios can only shrink).  Components, their partials and second
 partials are evaluated together through one compiled map
-(``polysys._CompiledMap``), whose rows do not depend on the batch they
+(``evaluator._CompiledMap``), whose rows do not depend on the batch they
 are evaluated in.
 """
 
@@ -43,7 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import ExponentReport
-from .polysys import PolySystem, _CompiledMap, rational_str
+from .evaluator import _CompiledMap
+from .polysys import PolySystem, rational_str
 
 
 class FeasibleSetEmptyError(RuntimeError):

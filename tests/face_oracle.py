@@ -8,7 +8,7 @@ monomial), on points held one per row as ``layout_oracle`` keeps them, so
 ``certify_system_face_by_face``, which certifies one face after another
 through it, must give ``certify_system`` bit for bit.
 
-``pow_table`` is the monomial table ``polysys._CompiledMap`` built before
+``pow_table`` is the monomial table ``evaluator._CompiledMap`` built before
 the power ladder: numpy's float ``pow``, one call per entry.
 """
 
@@ -29,7 +29,7 @@ from holderbounds.nondegen import (
     _gauge,
     build_m_delta,
 )
-from holderbounds.polysys import _CompiledMap
+from holderbounds.evaluator import _CompiledMap
 
 from layout_oracle import _descend, _gram_determinant
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holderbounds.polysys import Polynomial, _CompiledMap, gradient, parse_system
+from holderbounds.evaluator import _CompiledMap
+from holderbounds.polysys import Polynomial, gradient, parse_system
 from holderbounds.verify import _CompiledSystem
 
 from conftest import DEMO_SYSTEMS, random_convenient_system
