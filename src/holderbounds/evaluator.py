@@ -37,7 +37,9 @@ class _CompiledMap:
     x^kappa multiplies its variables' rungs in variable order.  So the
     bits of x^kappa depend on kappa and x alone, never on the rest of the
     support or of the batch.  (numpy's float ``pow`` costs about 70 ns an
-    entry on negative bases; a multiply costs about 1 ns.)
+    entry on negative bases; a multiply costs about 1 ns.)  The ladder
+    holds only the rungs the support reaches by that rule, about
+    2 log2(e) of them for a top exponent e, not one per exponent up to e.
     """
 
     def __init__(self, polys: Sequence[Polynomial], nvars: int):
@@ -47,10 +49,14 @@ class _CompiledMap:
         self._set_coeffs(
             np.array([[float(f.terms.get(e, 0)) for f in polys] for e in support]).reshape(-1, len(polys))
         )
-        # Rung e of the ladder and the two lower rungs whose product it is.
-        top = int(self.exps.max(initial=1))
-        self._rungs = [(e, e // 2, e - e // 2) for e in range(2, top + 1)]
-        self._monomials = _monomial_program(support, nvars, self._rungs)
+        # Slot k of the ladder holds x^powers[k]; powers increase, so the
+        # two lower rungs whose product is rung e come before it.
+        powers = _rung_closure(self.exps)
+        slot = {e: k for k, e in enumerate(powers)}
+        rungs = [(e, e // 2, e - e // 2) for e in powers[2:]]
+        self._rungs = [(slot[e], slot[lo], slot[hi]) for e, lo, hi in rungs]
+        self._slots = np.searchsorted(powers, self.exps)
+        self._monomials = _monomial_program(support, nvars, rungs)
 
     def _set_coeffs(self, coeffs: np.ndarray) -> None:
         self.coeffs = coeffs
@@ -80,11 +86,11 @@ class _CompiledMap:
         ladder = np.empty((len(self._rungs) + 2, self.nvars, X.shape[1]))
         ladder[0] = 1.0
         ladder[1] = X
-        for e, lo, hi in self._rungs:
-            np.multiply(ladder[lo], ladder[hi], out=ladder[e])
-        out = ladder[self.exps[:, 0], 0]
+        for k, lo, hi in self._rungs:
+            np.multiply(ladder[lo], ladder[hi], out=ladder[k])
+        out = ladder[self._slots[:, 0], 0]
         for j in range(1, self.nvars):
-            out *= ladder[self.exps[:, j], j]
+            out *= ladder[self._slots[:, j], j]
         return out
 
     def contract(self, table: np.ndarray) -> np.ndarray:
@@ -119,6 +125,19 @@ class _CompiledMap:
         that point's row in any batch."""
         row = np.array(self._monomials(self._points(x).tolist()), dtype=float)
         return _einsum("k,kj->j", row, self._weights)[: self.coeffs.shape[1]]
+
+
+def _rung_closure(exps: np.ndarray) -> list[int]:
+    """0, 1 and every exponent in ``exps``, closed under e -> (e//2, e - e//2),
+    in increasing order."""
+    powers = {0, 1}
+    todo = set(exps.ravel().tolist())
+    while todo:
+        e = todo.pop()
+        if e not in powers:
+            powers.add(e)
+            todo.update((e // 2, e - e // 2))
+    return sorted(powers)
 
 
 def _monomial_program(support: Sequence[Exponent], nvars: int, rungs):

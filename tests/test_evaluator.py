@@ -21,6 +21,7 @@ from holderbounds.verify import _CompiledSystem
 from conftest import DEMO_SYSTEMS, random_convenient_system
 from evaluator_oracle import PerPolynomialSystem
 from face_oracle import pow_table
+from ladder_oracle import dense_monomials, dense_table
 
 
 def _systems():
@@ -208,3 +209,50 @@ def test_power_ladder_agrees_with_pow_table():
         ulps = np.array([math.ulp(v) for v in np.abs(old).ravel()]).reshape(old.shape)
         degree = cmap.exps.sum(axis=1)[None, :]
         assert (np.abs(ladder - old) <= np.maximum(degree - 1, 0) * ulps).all(), case
+
+
+def _sparse_ladder_cases():
+    # The demos with their partials and Euler terms (the maps verify and
+    # nondegen build), the ladder cases above, and random maps with
+    # exponents up to 64 and gaps between them.
+    for name, system in _systems():
+        polys = list(system.polys)
+        polys += [f.partial(j) for f in system.polys for j in range(system.n)]
+        polys += [f.euler_term(j) for f in system.polys for j in range(system.n)]
+        X = np.random.default_rng(len(name)).uniform(-3.0, 3.0, size=(20, system.n))
+        yield name, _CompiledMap(polys, system.n), X
+    for case, cmap, _, X in _ladder_cases():
+        yield f"ladder {case}", cmap, X
+    rng = random.Random(64)
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, -1.5, 1e-3, 1234.5]
+    for case in range(40):
+        n = rng.randint(1, 4)
+        top = rng.choice([8, 17, 33, 64])
+        terms = {
+            tuple(rng.choice([0, 1, rng.randint(0, top)]) for _ in range(n)): Fraction(rng.randint(1, 5))
+            for _ in range(rng.randint(1, 8))
+        }
+        X = np.array(
+            [[rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(12)]
+        )
+        yield f"random {case}", _CompiledMap([Polynomial(terms, n)], n), X
+
+
+def test_sparse_ladder_matches_dense_ladder_bit_for_bit():
+    for name, cmap, X in _sparse_ladder_cases():
+        assert cmap.table(X.T).tobytes() == dense_table(cmap.exps, X.T).tobytes(), name
+        dense = dense_monomials(cmap.exps)
+        for x in X.tolist():
+            assert np.array(cmap._monomials(x)).tobytes() == np.array(dense(x)).tobytes(), (name, x)
+
+
+def test_ladder_builds_only_the_rungs_the_support_needs():
+    # x^99999999999 needs about 2 log2(1e11) ~ 73 rungs, not 1e11.
+    f = parse_system("f1 = x^99999999999 - y^3").polys[0]
+    cmap = _CompiledMap([f], 2)
+    assert len(cmap._rungs) <= 2 * (99999999999).bit_length()
+    X = np.array([[1.0, 1.0], [-1.0, 0.0], [0.5, -1.0], [-1.0000001, 0.0]])
+    with np.errstate(over="ignore"):
+        assert cmap(X)[:, 0].tolist() == [0.0, -1.0, 1.0, -math.inf]
+    assert [cmap.one(x)[0] for x in X] == [0.0, -1.0, 1.0, -math.inf]
+
