@@ -13,7 +13,9 @@ The textual input format is line based, one definition per line::
     f1 = x + y
     f2 = 1/2*x^2 + 0.5*y^2 - 1
 
-Coefficients may be integers, decimals, or integer fractions ``a/b``.
+Coefficients may be integers, decimals with an optional power of ten
+(``1e-3``, ``2.5E+2``; the power has at most three digits), or integer
+fractions ``a/b``.  Exponents, numerators and denominators are integers.
 Factors are juxtaposed with optional ``*``.  Variables are the
 identifiers that never appear on a left-hand side; their order is
 first-appearance order.
@@ -336,8 +338,14 @@ class PolySystem:
 # -- parsing -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_]\w*)|(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<op>[-+*^/=])"
+    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<op>[-+*^/=])"
 )
+
+
+def _is_integer(tok) -> bool:
+    """Whether ``tok`` is an integer literal: digits only, no point or power of ten."""
+    return tok is not None and tok[0] == "number" and tok[1].isdecimal()
 
 
 def _tokenize(text: str, lineno: int):
@@ -424,7 +432,7 @@ class _LineParser:
             if nxt and nxt[0] == "op" and nxt[1] == "^":
                 self.next()
                 etok = self.next()
-                if etok is None or etok[0] != "number" or "." in etok[1]:
+                if not _is_integer(etok):
                     self.error("exponent must be a non-negative integer", etok or tok)
                 exponent = int(etok[1])
             powers[name] = powers.get(name, 0) + exponent
@@ -438,13 +446,18 @@ class _LineParser:
         text = tok[1]
         nxt = self.peek()
         if nxt and nxt[0] == "op" and nxt[1] == "/":
-            if "." in text:
-                self.error("decimal numerator not allowed in a fraction", tok)
+            if not _is_integer(tok):
+                self.error("a fraction's numerator must be an integer", tok)
             self.next()
             dtok = self.next()
-            if dtok is None or dtok[0] != "number" or "." in dtok[1] or int(dtok[1]) == 0:
+            if not _is_integer(dtok) or int(dtok[1]) == 0:
                 self.error("denominator must be a positive integer", dtok or tok)
             return Fraction(int(text), int(dtok[1]))
+        # Fraction reads "1e-3" exactly as 1/1000.  Three digits span the
+        # float range; a longer power would make it build an integer of
+        # that many digits.
+        if len(text.lower().partition("e")[2].lstrip("+-").lstrip("0")) > 3:
+            self.error("a coefficient's power of ten has more than three digits", tok)
         return Fraction(text)
 
     def skip_star(self):

@@ -45,6 +45,20 @@ def test_parse_coefficient_forms():
     assert f.terms[(1, 1)] == Fraction(-3)
 
 
+def test_parse_scientific_notation_coefficients():
+    system = parse_system("f1 = 1e-3*x + y^2 - 1\nf2 = 2.5E+2*x - .5e1 + 3e0*y")
+    assert system.n == 2 and system.varnames == ("x", "y")
+    assert system.polys[0].terms[(1, 0)] == Fraction(1, 1000)
+    assert system.polys[1].terms == {(1, 0): Fraction(250), (0, 0): Fraction(-5), (0, 1): Fraction(3)}
+    assert parse_system("f1 = 1e-999*x").polys[0].terms == {(1,): Fraction(1, 10**999)}
+
+
+def test_parse_letter_e_after_a_coefficient_is_a_variable():
+    for text in ("f1 = 2*e5 + x", "f1 = 2 e5 + x", "f1 = 2e*x + x"):
+        system = parse_system(text)
+        assert system.varnames[0].startswith("e") and system.n == 2, text
+
+
 def test_parse_leading_minus_and_comments():
     f = parse_system("# system\nf1 = -x + y  # trailing\n").polys[0]
     assert f.terms == {(1, 0): Fraction(-1), (0, 1): Fraction(1)}
@@ -60,6 +74,11 @@ def test_parse_leading_minus_and_comments():
         "f1 = x 2",
         "f1 y = 2",
         "f1 = x / 2",
+        "f1 = x^1e3",
+        "f1 = 1e2/3*x",
+        "f1 = 3/1e2*x",
+        "f1 = 1.5/2*x",
+        "f1 = 1e1000*x",
     ],
 )
 def test_parse_syntax_errors(text):
