@@ -167,9 +167,15 @@ def _run_certify(cfg: RunConfig):
     return code, payload, "\n".join(lines)
 
 
+def _exponent_report(system: PolySystem):
+    if system.n == 0:
+        raise UsageError("the system has no variables, so it has no Hölder exponent")
+    return holder_exponent(max(system.d, 1), system.n, system.p)
+
+
 def _run_exponent(cfg: RunConfig):
     system = _load_system(cfg)
-    report = holder_exponent(max(system.d, 1), system.n, system.p)
+    report = _exponent_report(system)
     payload = report.to_json()
     lines = [
         f"d={report.d} n={report.n} p={report.p}",
@@ -194,7 +200,7 @@ def _run_verify(cfg: RunConfig):
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
-    report = holder_exponent(max(system.d, 1), system.n, system.p)
+    report = _exponent_report(system)
     verdict = certify_system(system, _certify_config(cfg))
     hypothesis = verdict.convenient and verdict.status == "nondegenerate_probable"
     report = replace(

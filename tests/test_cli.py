@@ -275,6 +275,16 @@ def test_bad_input_exits_two_with_error_line(argv, system_file, tmp_path, capsys
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["f1 = 1", "f1 = -1", "f1 = 0"])
+@pytest.mark.parametrize("command", ["analyze", "certify", "exponent", "verify", "slope", "quadratic"])
+def test_system_without_variables_exits_cleanly(command, text, system_file, capsys):
+    code = main([command, system_file(text), "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith(("error:", "parse error:")) and len(err.strip().splitlines()) == 1
+
+
 def test_analyze_and_certify_never_import_scipy():
     # Only verify's SLSQP projections need scipy.optimize, which costs more
     # than half a second to import and tens of MB of memory.
