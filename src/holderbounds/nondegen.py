@@ -702,9 +702,12 @@ def _certify_faces(
     Sampling covers every sign orthant of the unit sphere (rank patterns
     are orthant-sensitive over the reals) with a shrinking floor on
     ``min_j |x_j|``; each stage's best samples seed local descent under
-    that stage's floor.  Scaling along the quasi-homogeneous torus action
-    only rescales the objective, so restricting to ~unit vectors loses
-    nothing.
+    that stage's floor.  Samples start on the unit sphere and the descent
+    keeps every point's norm in [0.5, 2] (``_project_torus``).  The torus
+    action of a face scales coordinate j by t^(v_j) and leaves those with
+    v_j = 0 fixed, so an orbit need not meet that shell: a minimum whose
+    orbit stays outside it is missed, and the search reports a larger
+    objective.
 
     Each face draws from its own stream, ``SeedSequence(seed,
     spawn_key=(index,))``, and its samples are evaluated one stage at a
