@@ -4,8 +4,8 @@ One compiled map holds several polynomials over the sorted union of their
 supports, an integer exponent matrix plus a float coefficient matrix with
 one column per polynomial, so one monomial table serves every column.
 ``nondegen`` evaluates its rank-test rows through it and ``verify`` its
-components and their partials.  This is the one module of the exact
-polynomial layer that imports numpy; ``polysys`` and ``newton`` stay exact.
+components and their partials.  It is the float side of the polynomial
+layer, kept apart so that ``polysys`` and ``newton`` import no numpy.
 """
 
 from __future__ import annotations

@@ -282,7 +282,7 @@ def test_system_without_variables_exits_cleanly(command, text, system_file, caps
     err = capsys.readouterr().err
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 2:
-        assert err.startswith(("error:", "parse error:")) and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_analyze_and_certify_never_import_scipy():
