@@ -327,8 +327,14 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit code, rendered output)."""
-    code, payload, text = _RUNNERS[cfg.command](cfg)
+    """Execute one command; returns (exit code, rendered output).
+
+    numpy's overflow and invalid-value warnings are off: a value that
+    overflows is reported once, as an ``error:`` line or a null in the
+    output.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, payload, text = _RUNNERS[cfg.command](cfg)
     if cfg.output_format == "json":
         rendered = json.dumps(payload, indent=2, sort_keys=True)
     else:

@@ -15,12 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .polysys import Exponent, Polynomial
+from .polysys import Polynomial
 
 try:
     # The C routine behind ``np.einsum``: the same sums, without the
-    # Python wrapper's microsecond per call, which is most of the cost of
-    # one small single-point evaluation.
+    # Python wrapper's microsecond per call.
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # another numpy layout
     _einsum = np.einsum
@@ -53,10 +52,8 @@ class _CompiledMap:
         # two lower rungs whose product is rung e come before it.
         powers = _rung_closure(self.exps)
         slot = {e: k for k, e in enumerate(powers)}
-        rungs = [(e, e // 2, e - e // 2) for e in powers[2:]]
-        self._rungs = [(slot[e], slot[lo], slot[hi]) for e, lo, hi in rungs]
+        self._rungs = [(slot[e], slot[e // 2], slot[e - e // 2]) for e in powers[2:]]
         self._slots = np.searchsorted(powers, self.exps)
-        self._monomials = _monomial_program(support, nvars, rungs)
 
     def _set_coeffs(self, coeffs: np.ndarray) -> None:
         self.coeffs = coeffs
@@ -117,14 +114,9 @@ class _CompiledMap:
         return head, tail
 
     def __call__(self, X) -> np.ndarray:
-        """Every polynomial (columns) at every row of X."""
+        """Every polynomial (columns) at every row of X; one point is a
+        batch of one row, with the same bits as in any other batch."""
         return self.contract(self.table(np.atleast_2d(self._points(X)).T))
-
-    def one(self, x) -> np.ndarray:
-        """All polynomials at one point (no batch axis); the same bits as
-        that point's row in any batch."""
-        row = np.array(self._monomials(self._points(x).tolist()), dtype=float)
-        return _einsum("k,kj->j", row, self._weights)[: self.coeffs.shape[1]]
 
 
 def _rung_closure(exps: np.ndarray) -> list[int]:
@@ -138,27 +130,3 @@ def _rung_closure(exps: np.ndarray) -> list[int]:
             powers.add(e)
             todo.update((e // 2, e - e // 2))
     return sorted(powers)
-
-
-def _monomial_program(support: Sequence[Exponent], nvars: int, rungs):
-    """A function from one point's coordinates (a list of floats) to its
-    monomials over ``support``, by the ladder rule of ``_CompiledMap``.
-
-    It is straight-line Python generated once per map: Python floats round
-    each multiply as numpy does, without numpy's microsecond per call,
-    which is most of the cost of one single-point evaluation.  A factor
-    x_j^0 = 1 is left out, which changes no bit of the product.
-    """
-
-    def rung(j: int, e: int) -> str:
-        return f"x{j}" if e == 1 else f"x{j}_{e}"
-
-    lines = ["".join(f"{rung(j, 1)}, " for j in range(nvars)) + "= x"]
-    lines += [f"{rung(j, e)} = {rung(j, lo)} * {rung(j, hi)}" for j in range(nvars) for e, lo, hi in rungs]
-    monomials = [
-        " * ".join(rung(j, e) for j, e in enumerate(kappa) if e) or "1.0" for kappa in support
-    ]
-    lines.append(f"return [{', '.join(monomials)}]")
-    namespace: dict = {}
-    exec("def monomials(x):\n    " + "\n    ".join(lines), namespace)
-    return namespace["monomials"]

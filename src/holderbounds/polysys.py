@@ -385,6 +385,15 @@ class _LineParser:
         tok = tok or self.peek() or self.tokens[-1]
         raise ParseError(message, tok[2], tok[3])
 
+    def convert(self, convert, tok):
+        """``convert(tok[1])``, or a parse error at ``tok`` where Python
+        refuses the literal: an integer string of more digits than
+        ``sys.get_int_max_str_digits()`` (4,300 by default)."""
+        try:
+            return convert(tok[1])
+        except ValueError:
+            self.error("a number has too many digits", tok)
+
     def parse_expr(self):
         terms = []
         sign = 1
@@ -434,7 +443,7 @@ class _LineParser:
                 etok = self.next()
                 if not _is_integer(etok):
                     self.error("exponent must be a non-negative integer", etok or tok)
-                exponent = int(etok[1])
+                exponent = self.convert(int, etok)
             powers[name] = powers.get(name, 0) + exponent
             saw_atom = True
             self.skip_star()
@@ -450,15 +459,16 @@ class _LineParser:
                 self.error("a fraction's numerator must be an integer", tok)
             self.next()
             dtok = self.next()
-            if not _is_integer(dtok) or int(dtok[1]) == 0:
+            denominator = self.convert(int, dtok) if _is_integer(dtok) else 0
+            if denominator == 0:
                 self.error("denominator must be a positive integer", dtok or tok)
-            return Fraction(int(text), int(dtok[1]))
+            return Fraction(self.convert(int, tok), denominator)
         # Fraction reads "1e-3" exactly as 1/1000.  Three digits span the
         # float range; a longer power would make it build an integer of
         # that many digits.
         if len(text.lower().partition("e")[2].lstrip("+-").lstrip("0")) > 3:
             self.error("a coefficient's power of ten has more than three digits", tok)
-        return Fraction(text)
+        return self.convert(Fraction, tok)
 
     def skip_star(self):
         tok = self.peek()

@@ -19,6 +19,13 @@ DEMO_SYSTEMS = sorted(
 )
 
 
+def at_point(comp, x):
+    """Values (p,) and Jacobian (p, n) of a compiled system at one point:
+    row 0 of the batched map, whose bits do not depend on the batch."""
+    values, jac = comp(x)
+    return values[0], jac[0]
+
+
 @pytest.fixture(scope="session")
 def half_disk() -> PolySystem:
     return parse_system(HALF_DISK_TEXT)

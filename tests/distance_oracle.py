@@ -5,34 +5,68 @@ projected in lockstep.  Each query walks its anchors nearest first; each
 anchor gets an SLSQP projection (penalty continuation when that ends
 infeasible) and a Gauss-Newton polish by ``np.linalg.lstsq``; the walk
 stops after ``stall_limit`` anchors in a row fail to tighten the bound,
-and the query's own polish is tried last.  It shares the anchor pool and
-the SLSQP projection with the oracle under test, so a difference between
-the two comes from the projection method alone.  The penalty
-continuation is this oracle's own: the library drops an anchor whose
-SLSQP projection ends infeasible.
+and the query's own polish is tried last.  It shares the anchor pool
+with the oracle under test, so a difference between the two comes from
+the projection method alone.  ``_project_slsqp`` is the per-anchor
+SLSQP projection the library's lockstep rows once fell back to; the
+penalty continuation was only ever this oracle's.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import optimize
 
-from holderbounds.verify import DistanceOracle, DistanceResult, _minimize
+from holderbounds.verify import DistanceOracle, DistanceResult
+
+from conftest import at_point
 
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 
 
 class SequentialDistanceOracle(DistanceOracle):
+    def _project_slsqp(self, x, start):
+        def objective(a):
+            d = a - x
+            return float(d @ d), 2.0 * d
+
+        # SLSQP asks for the values and then the Jacobian at the same
+        # iterate; one compiled-map call serves both.
+        last: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+        def at(a):
+            key = a.tobytes()
+            if key not in last:
+                last.clear()
+                last[key] = at_point(self.comp, a)
+            return last[key]
+
+        constraints = {
+            "type": "ineq",
+            "fun": lambda a: -at(a)[0],
+            "jac": lambda a: -at(a)[1],
+        }
+        res = optimize.minimize(
+            objective,
+            start,
+            jac=True,
+            method="SLSQP",
+            constraints=[constraints],
+            options={"maxiter": 200, "ftol": 1e-14},
+        )
+        return res.x
+
     def _project_penalty(self, x, start):
         a = np.asarray(start, dtype=float).copy()
         for mu in PENALTY_SCHEDULE:
 
             def objective(v):
                 d = v - x
-                values, jac = self.comp.one(v)
+                values, jac = at_point(self.comp, v)
                 pos = np.maximum(values, 0.0)
                 return float(d @ d + mu * (pos**2).sum()), 2.0 * d + 2.0 * mu * pos @ jac
 
-            res = _minimize(
+            res = optimize.minimize(
                 objective, a, jac=True, method="L-BFGS-B",
                 options={"maxiter": 150},
             )
@@ -43,7 +77,7 @@ class SequentialDistanceOracle(DistanceOracle):
         """Gauss-Newton push onto the feasible side."""
         x = np.asarray(x, dtype=float).copy()
         for _ in range(self.cfg.polish_iters):
-            values, jac = self.comp.one(x)
+            values, jac = at_point(self.comp, x)
             active = values > self.cfg.tau_feas * 0.1
             if not active.any():
                 break
@@ -59,7 +93,7 @@ class SequentialDistanceOracle(DistanceOracle):
     def distance(self, x) -> DistanceResult:
         x = np.asarray(x, dtype=float)
         cfg = self.cfg
-        values = self.comp.values_one(x)
+        values = at_point(self.comp, x)[0]
         if values.max() <= cfg.tau_feas:
             return DistanceResult(0.0, tuple(float(v) for v in x), float(values.max()))
 
@@ -72,10 +106,10 @@ class SequentialDistanceOracle(DistanceOracle):
         for rank in order[: cfg.multistarts]:
             anchor = pool[rank]
             candidate = self._polish_one(self._project_slsqp(x, anchor))
-            violation = self.comp.values_one(candidate).max()
+            violation = at_point(self.comp, candidate)[0].max()
             if violation > cfg.tau_feas:
                 candidate = self._polish_one(self._project_penalty(x, anchor))
-                violation = self.comp.values_one(candidate).max()
+                violation = at_point(self.comp, candidate)[0].max()
             improved = False
             if violation <= cfg.tau_feas:
                 d = float(np.linalg.norm(candidate - x))
@@ -87,10 +121,10 @@ class SequentialDistanceOracle(DistanceOracle):
                 break
         own = self._polish_one(x)
         d = float(np.linalg.norm(own - x))
-        if d < best_d and self.comp.values_one(own).max() <= cfg.tau_feas:
+        if d < best_d and at_point(self.comp, own)[0].max() <= cfg.tau_feas:
             best_d, best_a = d, own
         return DistanceResult(
             best_d,
             tuple(float(v) for v in best_a),
-            float(self.comp.values_one(best_a).max()),
+            float(at_point(self.comp, best_a)[0].max()),
         )

@@ -22,6 +22,8 @@ from holderbounds.verify import (
     _slope_from_data,
 )
 
+from conftest import at_point
+
 
 def _ring_slopes(comp, X, p):
     """Slopes, the mask of positive samples, and the number of samples
@@ -76,7 +78,7 @@ def probe_goodness(
             if norm < 1e-9:
                 return np.inf
             point = radius * u / norm
-            values, jac = comp.one(point)
+            values, jac = at_point(comp, point)
             if values.max() <= 0:
                 return np.inf
             return _slope_from_data(values, jac, p).value

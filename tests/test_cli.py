@@ -142,6 +142,11 @@ def test_parse_error_exit_code(system_file, capsys):
     assert main(["analyze", path]) == 2
     captured = capsys.readouterr()
     assert "parse error" in captured.err
+    # A literal past Python's 4,300-digit limit on integer strings.
+    path = system_file("f1 = x + y\nf2 = 1" + "0" * 5000 + "*x^2 + y^2 - 1")
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: line 2, column 6: a number has too many digits\n"
 
 
 def test_missing_file_exit_code():
@@ -285,20 +290,13 @@ def test_system_without_variables_exits_cleanly(command, text, system_file, caps
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
-def test_analyze_and_certify_never_import_scipy():
-    # Only verify's SLSQP projections need scipy.optimize, which costs more
-    # than half a second to import and tens of MB of memory.
-    script = (
-        "import sys\n"
-        "import holderbounds\n"
-        "from holderbounds.cli import RunConfig, run\n"
-        "for command in ('analyze', 'certify'):\n"
-        "    run(RunConfig(command=command, input_path=sys.argv[1], output_format='json'))\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-    )
+def _assert_runs_without_scipy(script: str, *args: str) -> None:
+    # scipy costs more than half a second to import and tens of MB of
+    # memory, and no command needs it.
+    script += "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
-        [sys.executable, "-c", script, str(DEMO_SYSTEMS[0])],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -306,9 +304,19 @@ def test_analyze_and_certify_never_import_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_analyze_and_certify_never_import_scipy():
+    script = (
+        "import sys\n"
+        "import holderbounds\n"
+        "from holderbounds.cli import RunConfig, run\n"
+        "for command in ('analyze', 'certify'):\n"
+        "    run(RunConfig(command=command, input_path=sys.argv[1], output_format='json'))\n"
+    )
+    _assert_runs_without_scipy(script, str(DEMO_SYSTEMS[0]))
+
+
 def test_goodness_probe_never_imports_scipy():
-    # The goodness probe runs its own Nelder-Mead; only the distance
-    # oracle loads scipy.
+    # The goodness probe runs its own Nelder-Mead.
     script = (
         "import sys\n"
         "from holderbounds import SamplePlan, parse_system, probe_goodness\n"
@@ -316,41 +324,27 @@ def test_goodness_probe_never_imports_scipy():
         "plan = SamplePlan(box=((-3.0, 3.0), (-3.0, 3.0)), count=500, rings=(2.0, 8.0, 32.0))\n"
         "report = probe_goodness(system, plan)\n"
         "assert all(r.floor is not None for r in report.rings), report\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    bowl = next(path for path in DEMO_SYSTEMS if path.stem == "quadratic_bowl")
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(bowl)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
+    _assert_runs_without_scipy(script, _demo("quadratic_bowl"))
 
 
 def test_desk_verify_commands_never_import_scipy():
-    # The anchor pool descends without scipy, and on the half disk and the
-    # bowl every lockstep projection converges, so the SLSQP fallback, the
-    # last user of scipy, never runs.
+    # The anchor pool descends without scipy, and the distance oracle
+    # projects by lockstep SQP alone, on regular S (the half disk and the
+    # bowl) as on singular S (sphere_cubic and partition_n2).
     script = (
         "import sys\n"
         "from holderbounds.cli import RunConfig, run\n"
-        "half_disk, bowl = sys.argv[1:]\n"
+        "half_disk, bowl, sphere_cubic, partition = sys.argv[1:]\n"
         "box = ((-3.0, 3.0), (-3.0, 3.0))\n"
         "for seed in (1, 7, 42):\n"
         "    run(RunConfig(command='verify', input_path=half_disk, seed=seed, samples=500, box=box, output_format='json'))\n"
         "    run(RunConfig(command='verify', input_path=bowl, seed=seed, samples=500, rings=(2.0, 8.0, 32.0), output_format='json'))\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "run(RunConfig(command='verify', input_path=sphere_cubic, samples=500, box=box + ((-3.0, 3.0),), output_format='json'))\n"
+        "run(RunConfig(command='verify', input_path=partition, samples=500, box=box, output_format='json'))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", script, _demo("half_disk"), _demo("quadratic_bowl")],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
+    demos = ("half_disk", "quadratic_bowl", "sphere_cubic", "partition_n2")
+    _assert_runs_without_scipy(script, *(_demo(name) for name in demos))
 
 
 def test_python_dash_m_runs_the_command():
@@ -380,6 +374,7 @@ def _assert_clean_exit(capsys, argv) -> int:
     return code
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_point_and_ring_exit_cleanly(tmp_path, capsys):
     # The first two raised "attempt to get argmin of an empty sequence":
     # the values overflow to inf and NaN, and inf - inf left no component
@@ -388,6 +383,10 @@ def test_overflowing_point_and_ring_exit_cleanly(tmp_path, capsys):
     # reported as a slope floor of Infinity.
     slope = ["slope", _demo("half_disk"), "--point=1e200,1e200", "--format", "json"]
     assert _assert_clean_exit(capsys, slope) == 2
+    # The power ladder of x^2000 overflows at most samples.
+    steep = tmp_path / "steep.poly"
+    steep.write_text("f1 = x^2000 + y^2 - 1", encoding="utf-8")
+    assert _assert_clean_exit(capsys, ["verify", str(steep), "--samples", "5", "--format", "json"]) == 2
     cubic = tmp_path / "cubic.poly"
     cubic.write_text("f1 = x^3 - 1", encoding="utf-8")
     # Every sample outside S overflowed: all 20 values on the bowl, and
@@ -406,6 +405,7 @@ def test_overflowing_point_and_ring_exit_cleanly(tmp_path, capsys):
         }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowed_ring_samples_are_counted(capsys):
     argv = ["verify", _demo("quadratic_bowl"), "--samples", "20", "--rings", "2,1e160"]
     assert main(argv + ["--format", "json"]) == 0
@@ -420,6 +420,7 @@ def test_overflowed_ring_samples_are_counted(capsys):
     assert "  ring R=1e+160: slope floor n/a, 20 samples overflowed" in lines
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_finite_flags_never_raise(tmp_path, capsys):
     # Points and rings up to 1e300, and boxes from 1e100 to 1e300, on
     # random small systems.

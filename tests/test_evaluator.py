@@ -3,6 +3,8 @@
 ``verify._CompiledSystem`` is compared against the evaluator it
 replaced, kept in ``evaluator_oracle.py`` (one exponent array per
 component and per partial), and both against exact rational evaluation.
+A point's row in any batch is compared, bit for bit, against the
+straight-line single-point program kept in ``ladder_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from holderbounds.evaluator import _CompiledMap
 from holderbounds.polysys import Polynomial, gradient, parse_system
 from holderbounds.verify import _CompiledSystem
 
-from conftest import DEMO_SYSTEMS, random_convenient_system
+from conftest import DEMO_SYSTEMS, at_point, random_convenient_system
 from evaluator_oracle import PerPolynomialSystem
 from face_oracle import pow_table
-from ladder_oracle import dense_monomials, dense_table
+from ladder_oracle import dense_monomials, dense_table, single_point, sparse_monomials
 
 
 def _systems():
@@ -48,11 +50,8 @@ def test_compiled_system_matches_per_polynomial_oracle():
         assert values.shape == (50, system.p) and jac.shape == (50, system.p, system.n)
         np.testing.assert_allclose(values, oracle.values(X), rtol=1e-12, atol=1e-10, err_msg=name)
         np.testing.assert_allclose(jac, oracle.grads(X), rtol=1e-12, atol=1e-10, err_msg=name)
-        for x, v, g in zip(X[:5], values, jac):
-            one_v, one_g = comp.one(x)
-            np.testing.assert_allclose(one_v, v, rtol=1e-13, atol=1e-12, err_msg=name)
-            np.testing.assert_allclose(one_g, g, rtol=1e-13, atol=1e-12, err_msg=name)
-            np.testing.assert_array_equal(comp.values_one(x), one_v)
+        for x in X[:5]:
+            one_v, one_g = at_point(comp, x)
             np.testing.assert_allclose(one_v, oracle.values_one(x), rtol=1e-12, atol=1e-10)
             np.testing.assert_allclose(one_g, oracle.grads_one(x), rtol=1e-12, atol=1e-10)
 
@@ -66,13 +65,13 @@ def test_compiled_system_matches_exact_evaluation():
                 Fraction(rng.choice([-1, 1]) * rng.randint(1, 25), 10) for _ in range(system.n)
             )
             x = np.array([float(v) for v in point])
-            for values, jac in (comp.one(x), tuple(a[0] for a in comp(x[None, :]))):
-                for i, f in enumerate(system.polys):
-                    exact = f.evaluate(point)
-                    assert abs(values[i] - float(exact)) <= 1e-13 * (1 + _gauge(f, point)), name
-                    for j, partial in enumerate(gradient(f, point)):
-                        bound = 1e-13 * (1 + _gauge(f.partial(j), point))
-                        assert abs(jac[i, j] - float(partial)) <= bound, name
+            values, jac = at_point(comp, x)
+            for i, f in enumerate(system.polys):
+                exact = f.evaluate(point)
+                assert abs(values[i] - float(exact)) <= 1e-13 * (1 + _gauge(f, point)), name
+                for j, partial in enumerate(gradient(f, point)):
+                    bound = 1e-13 * (1 + _gauge(f.partial(j), point))
+                    assert abs(jac[i, j] - float(partial)) <= bound, name
 
 
 def test_compiled_map_columns_and_shapes():
@@ -81,12 +80,13 @@ def test_compiled_map_columns_and_shapes():
     # Union support in sorted order: (0, 0), (0, 1), (2, 0).
     assert cmap.exps.tolist() == [[0, 0], [0, 1], [2, 0]]
     assert cmap.coeffs.tolist() == [[0.0, 3.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-    np.testing.assert_array_equal(cmap.one((2.0, 1.0)), [3.0, 3.0, 0.0])
+    np.testing.assert_array_equal(cmap((2.0, 1.0)), [[3.0, 3.0, 0.0]])
+    np.testing.assert_array_equal(single_point(cmap)((2.0, 1.0)), [3.0, 3.0, 0.0])
     np.testing.assert_array_equal(cmap([[2.0, 1.0], [0.0, 0.0]]), [[3.0, 3.0, 0.0], [0.0, 3.0, 0.0]])
     empty = _CompiledMap((Polynomial.zero(2),), 2)
     assert empty.exps.shape == (0, 2)
     np.testing.assert_array_equal(empty([[1.0, 2.0]]), [[0.0]])
-    np.testing.assert_array_equal(empty.one((1.0, 2.0)), [0.0])
+    np.testing.assert_array_equal(single_point(empty)((1.0, 2.0)), [0.0])
 
 
 @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
@@ -94,9 +94,7 @@ def test_wrong_point_length_raises(half_disk, point):
     # A length-1 point would otherwise broadcast against every exponent row.
     comp = _CompiledSystem(half_disk)
     with pytest.raises(ValueError, match="2-variable"):
-        comp.one(point)
-    with pytest.raises(ValueError, match="2-variable"):
-        comp.values_one(point)
+        comp(point)
     with pytest.raises(ValueError, match="2-variable"):
         comp(np.array([point]))
 
@@ -121,17 +119,18 @@ def test_compiled_map_rows_do_not_depend_on_their_batch():
     # according to the batch it is in.
     for name, system in _wide_systems():
         cmap = _CompiledSystem(system)._map
+        one = single_point(cmap)
         rng = np.random.default_rng(len(name))
         for size in (1, 2, 37, 4096):
             X = rng.uniform(-2.5, 2.5, size=(size, system.n))
             batch = cmap(X)
             for i in range(size):
                 np.testing.assert_array_equal(cmap(X[i : i + 1])[0], batch[i], err_msg=name)
-                np.testing.assert_array_equal(cmap.one(X[i]), batch[i], err_msg=name)
+                np.testing.assert_array_equal(one(X[i]), batch[i], err_msg=name)
 
 
 def test_compiled_system_rows_do_not_depend_on_their_batch():
-    # Values and Jacobians read the same bits alone, in a batch, and from
+    # Values and Jacobians read the same bits in a batch, alone, and from
     # ``full``, which contracts the same table with the second partials too.
     for name, system in _wide_systems():
         comp = _CompiledSystem(system)
@@ -142,7 +141,7 @@ def test_compiled_system_rows_do_not_depend_on_their_batch():
         np.testing.assert_array_equal(full[1], jac, err_msg=name)
         assert full[2].shape == (37, system.p, system.n, system.n)
         for i in range(len(X)):
-            one = comp.one(X[i])
+            one = at_point(comp, X[i])
             np.testing.assert_array_equal(one[0], values[i], err_msg=name)
             np.testing.assert_array_equal(one[1], jac[i], err_msg=name)
 
@@ -178,9 +177,10 @@ def test_power_ladder_matches_exact_evaluation():
         degree = int(cmap.exps.sum(axis=1).max())
         slack = degree + cmap.exps.shape[0] + 1
         batch = cmap(X)
+        one = single_point(cmap)
         for i, (x, row) in enumerate(zip(X, batch)):
             point = tuple(Fraction(v) for v in x)
-            np.testing.assert_array_equal(cmap.one(x), row, err_msg=f"case {case}")
+            np.testing.assert_array_equal(one(x), row, err_msg=f"case {case}")
             np.testing.assert_array_equal(cmap(X[i : i + 1])[0], row, err_msg=f"case {case}")
             for f, value in zip(polys, row):
                 exact = f.evaluate(point)
@@ -195,7 +195,7 @@ def test_power_ladder_zero_coordinates():
     cmap = _CompiledMap([f], 2)
     for x in ([0.0, 0.0], [0.0, -1.5], [-0.0, 2.0], [1.25, 0.0]):
         exact = float(f.evaluate(tuple(Fraction(v) for v in x)))
-        assert cmap.one(x)[0] == exact and cmap([x])[0, 0] == exact
+        assert single_point(cmap)(x)[0] == exact and cmap([x])[0, 0] == exact
     table = cmap.table([[0.0], [0.0]])
     assert table[:, 0].tolist() == [1.0 if not any(kappa) else 0.0 for kappa in cmap.exps.tolist()]
 
@@ -241,9 +241,9 @@ def _sparse_ladder_cases():
 def test_sparse_ladder_matches_dense_ladder_bit_for_bit():
     for name, cmap, X in _sparse_ladder_cases():
         assert cmap.table(X.T).tobytes() == dense_table(cmap.exps, X.T).tobytes(), name
-        dense = dense_monomials(cmap.exps)
+        sparse, dense = sparse_monomials(cmap.exps), dense_monomials(cmap.exps)
         for x in X.tolist():
-            assert np.array(cmap._monomials(x)).tobytes() == np.array(dense(x)).tobytes(), (name, x)
+            assert np.array(sparse(x)).tobytes() == np.array(dense(x)).tobytes(), (name, x)
 
 
 def test_ladder_builds_only_the_rungs_the_support_needs():
@@ -254,5 +254,5 @@ def test_ladder_builds_only_the_rungs_the_support_needs():
     X = np.array([[1.0, 1.0], [-1.0, 0.0], [0.5, -1.0], [-1.0000001, 0.0]])
     with np.errstate(over="ignore"):
         assert cmap(X)[:, 0].tolist() == [0.0, -1.0, 1.0, -math.inf]
-    assert [cmap.one(x)[0] for x in X] == [0.0, -1.0, 1.0, -math.inf]
+    assert [single_point(cmap)(x)[0] for x in X] == [0.0, -1.0, 1.0, -math.inf]
 

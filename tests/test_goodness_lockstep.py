@@ -28,7 +28,7 @@ from holderbounds.verify import (
 )
 
 import goodness_oracle
-from conftest import DEMO_SYSTEMS, random_convenient_system
+from conftest import DEMO_SYSTEMS, at_point, random_convenient_system
 
 SEEDS = (1, 7, 42)
 # A ring near the origin (empty where f(0) < 0), two ordinary rings and one
@@ -232,7 +232,7 @@ def test_slopes_of_a_system_match_one_point_slopes():
     values, grads = comp(X)
     batch = _slopes(values, grads, system.p)
     for i, x in enumerate(X):
-        assert batch[i] == _slope_from_data(*comp.one(x), system.p).value
+        assert batch[i] == _slope_from_data(*at_point(comp, x), system.p).value
 
 
 def test_slopes_raise_where_slope_from_data_raises():

@@ -2,8 +2,9 @@
 
 ``distance_oracle.SequentialDistanceOracle`` projects one query at a
 time, one SLSQP run per anchor.  ``DistanceOracle.distances`` projects
-every query's anchors in lockstep by SQP and falls back to that SLSQP
-path only for rows that fail.  Both share the anchor pool.
+every query's anchors in lockstep by SQP, and a row that stops short of
+converging still gives its end point where that is feasible.  Both share
+the anchor pool.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from holderbounds.verify import (
     verify_bound,
 )
 
-from conftest import DEMO_SYSTEMS, random_convenient_system
+from conftest import DEMO_SYSTEMS, at_point, random_convenient_system
 from distance_oracle import SequentialDistanceOracle
 
 SEEDS = (1, 7, 42)
@@ -37,9 +38,19 @@ QUERIES = 40
 # Queries where the lockstep bound is looser than the sequential one.
 # S of degenerate_pair is the wedge -y <= x <= y plus the ray x = y < 0,
 # on which the two gradients are parallel.  From some wedge anchors
-# SLSQP's first steps land on the ray, which is nearer to these queries;
-# the lockstep descent on its merit function stays on the wedge.
-KNOWN_LOOSER = {("degenerate_pair", 7): {6}, ("degenerate_pair", 42): {37}}
+# SLSQP's first steps land on the ray, which is nearer to these queries
+# (12.8% and 4.6%); the lockstep descent on its merit function stays on
+# the wedge.  The others stall at a singular point of S, 0, where the
+# gradients of x^2 - y^2 (degenerate_pair_perturbed; 0.11% and 0.011%)
+# and of 2x^4 - x^2y^2 - 3y^3 (random4; 0.15% to 3.2%) vanish: the SQP
+# multipliers pass the cap there, and the row keeps the point it reached.
+KNOWN_LOOSER = {
+    ("degenerate_pair", 7): {6},
+    ("degenerate_pair", 42): {37},
+    ("degenerate_pair_perturbed", 7): {1},
+    ("degenerate_pair_perturbed", 42): {21},
+    ("random4", 4): {2, 11, 14, 22, 25, 28, 35},
+}
 
 
 def _cases():
@@ -103,17 +114,23 @@ def test_results_do_not_depend_on_the_chunk(monkeypatch):
 def test_regular_sets_need_no_fallback(name, monkeypatch):
     # Where S is smooth at its nearest points, every lockstep row converges.
     oracle = _oracle(name, 42)
+    lockstep, rows = oracle._lockstep, []
 
-    def fallback(x, anchor):
-        raise AssertionError("fallback used")
+    def counted(X, A):
+        points, converged = lockstep(X, A)
+        assert converged.all()
+        rows.append(len(X))
+        return points, converged
 
-    monkeypatch.setattr(oracle, "_fallback", fallback)
+    monkeypatch.setattr(oracle, "_lockstep", counted)
     oracle.distances(np.random.default_rng(4).uniform(-3.0, 3.0, size=(100, 2)))
+    assert sum(rows) > 100
 
 
 def test_singular_set_falls_back():
     # S = {0} for sphere_cubic: the gradient of x^2 + y^2 + z^2 vanishes
-    # there, the SQP multipliers blow up, and every row falls back.
+    # there and the SQP multipliers blow up, so no row converges; the
+    # polished end points still come within 1e-4 of the distance.
     oracle = _oracle("sphere_cubic", 1)
     X = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 3))
     anchors = oracle.feasible_pool()[:4]
@@ -124,28 +141,27 @@ def test_singular_set_falls_back():
 
 
 def test_walk_projects_the_anchors_the_sequential_walk_does(monkeypatch):
-    # On sphere_cubic every lockstep row falls back to SLSQP, so the two
-    # oracles must run SLSQP from the same anchors: the rounds may not
-    # project an anchor past the end of a query's walk.
+    # The rounds project each query's anchors nearest first, as the
+    # sequential walk does: the rows one query passes to the lockstep,
+    # over all rounds, are a prefix of its anchors in order of distance.
     oracle = _oracle("sphere_cubic", 7)
-    sequential = SequentialDistanceOracle(oracle.system, oracle.cfg)
-    sequential._pool = oracle.feasible_pool()
+    pool = oracle.feasible_pool()
     X = np.random.default_rng(6).uniform(-3.0, 3.0, size=(20, 3))
-    starts = {}
-    for name, subject in (("lockstep", oracle), ("sequential", sequential)):
-        seen = starts.setdefault(name, [])
-        project = subject._project_slsqp
+    lockstep, walked = oracle._lockstep, {}
 
-        def counted(x, start, project=project, seen=seen):
-            seen.append((tuple(x), tuple(start)))
-            return project(x, start)
+    def recorded(Q, A):
+        for x, a in zip(Q, A):
+            walked.setdefault(x.tobytes(), []).append(a)
+        return lockstep(Q, A)
 
-        monkeypatch.setattr(subject, "_project_slsqp", counted)
+    monkeypatch.setattr(oracle, "_lockstep", recorded)
     oracle.distances(X)
+    assert len(walked) == len(X)
     for x in X:
-        sequential.distance(x)
-    assert sorted(starts["lockstep"]) == sorted(starts["sequential"])
-    assert len(starts["lockstep"]) > 2 * len(X)
+        anchors = np.array(walked[x.tobytes()])
+        order = np.argsort(np.linalg.norm(pool - x, axis=1))
+        np.testing.assert_array_equal(anchors, pool[order[: len(anchors)]])
+    assert sum(map(len, walked.values())) > 2 * len(X)
 
 
 # p = 9 > n = 2: eight half-planes and a disc.
@@ -162,19 +178,16 @@ f9 = x^2 + y^2 - 6
 """
 
 
-def test_wide_system_runs_on_the_fallback(monkeypatch):
+def test_wide_system_enumerates_a_constraint_subset():
     # 45 active sets of at most two of nine constraints: past _QP_WIDTH,
-    # so no QP is enumerated and every row takes the SLSQP fallback, whose
-    # memory is linear in p.  The bounds are the sequential oracle's.
+    # so each row's QP enumerates the sets of only its seven constraints of
+    # largest value, and its memory stays linear in p.  The step's validity
+    # test still checks all nine, and the bounds are no looser than the
+    # sequential oracle's.
     system = parse_system(WIDE_SYSTEM)
     box = ((-3.0, 3.0), (-3.0, 3.0))
     oracle = DistanceOracle(system, DistanceConfig(seed=1, search_box=box))
-    assert oracle._active_sets is None
-
-    def qp_steps(*args):
-        raise AssertionError("active sets enumerated")
-
-    monkeypatch.setattr(oracle, "_qp_steps", qp_steps)
+    assert oracle._qp_constraints == 7
     sequential = SequentialDistanceOracle(system, oracle.cfg)
     sequential._pool = oracle.feasible_pool()
     X = np.random.default_rng(8).uniform(-3.0, 3.0, size=(40, 2))
@@ -195,7 +208,7 @@ def test_wide_system_runs_on_the_fallback(monkeypatch):
 def _boundary_loop(rng, comp, base, anchors, count):
     """The bisection one segment and one point at a time."""
     out = []
-    positive = [x for x in base if comp.values_one(x).max() > 0]
+    positive = [x for x in base if at_point(comp, x)[0].max() > 0]
     if not positive or anchors is None or len(anchors) == 0:
         return np.empty((0, comp.n))
     for _ in range(count):
@@ -205,7 +218,7 @@ def _boundary_loop(rng, comp, base, anchors, count):
         for _ in range(40):
             mid = 0.5 * (t_out + t_in)
             point = (1 - mid) * x + mid * a
-            if comp.values_one(point).max() > 0:
+            if at_point(comp, point)[0].max() > 0:
                 t_out = mid
             else:
                 t_in = mid

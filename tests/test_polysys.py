@@ -79,6 +79,12 @@ def test_parse_leading_minus_and_comments():
         "f1 = 3/1e2*x",
         "f1 = 1.5/2*x",
         "f1 = 1e1000*x",
+        # Past Python's 4,300-digit limit on integer strings.
+        pytest.param("f1 = 1" + "0" * 5000 + "*x^2 + y", id="long-coefficient"),
+        pytest.param("f1 = 0." + "0" * 5000 + "1*x + y", id="long-decimal"),
+        pytest.param("f1 = 1" + "0" * 5000 + "/3*x + y", id="long-numerator"),
+        pytest.param("f1 = 1/1" + "0" * 5000 + "*x + y", id="long-denominator"),
+        pytest.param("f1 = x^1" + "0" * 5000 + " + y", id="long-exponent"),
     ],
 )
 def test_parse_syntax_errors(text):

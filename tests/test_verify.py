@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from holderbounds.bounds import ExponentReport, holder_exponent
 from holderbounds.polysys import Polynomial, PolySystem, parse_system
@@ -88,61 +87,6 @@ def test_distance_results_carry_feasible_certificates(path):
         assert out.max_violation <= oracle.cfg.tau_feas
         assert max(f.evaluate(out.certificate) for f in system.polys) <= oracle.cfg.tau_feas
         assert out.distance == pytest.approx(np.linalg.norm(certificate - x), rel=1e-12, abs=0)
-
-
-class _UncachedOracle(DistanceOracle):
-    """The oracle with SLSQP's constraint values and Jacobian from separate calls."""
-
-    def _project_slsqp(self, x, start):
-        def objective(a):
-            d = a - x
-            return float(d @ d), 2.0 * d
-
-        constraints = {
-            "type": "ineq",
-            "fun": lambda a: -self.comp.values_one(a),
-            "jac": lambda a: -self.comp.one(a)[1],
-        }
-        res = optimize.minimize(
-            objective,
-            start,
-            jac=True,
-            method="SLSQP",
-            constraints=[constraints],
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        return res.x
-
-
-def _count_map_calls(oracle):
-    calls = [0]
-    one = oracle.comp._map.one
-
-    def counted(x):
-        calls[0] += 1
-        return one(x)
-
-    oracle.comp._map.one = counted
-    return calls
-
-
-@pytest.mark.parametrize("name", ["half_disk", "quadratic_bowl", "partition_n2"])
-def test_slsqp_constraint_cache_keeps_distances(name):
-    # One compiled-map call serves SLSQP's values and Jacobian at an
-    # iterate of the fallback projection; its results stay the same.
-    system = parse_system((DEMO_SYSTEMS[0].parent / f"{name}.poly").read_text())
-    box = tuple((-3.0, 3.0) for _ in range(system.n))
-    cfg = replace(LIGHT, search_box=box)
-    cached, uncached = DistanceOracle(system, cfg), _UncachedOracle(system, cfg)
-    pool = cached.feasible_pool()
-    np.testing.assert_array_equal(pool, uncached.feasible_pool())
-    cached_calls, uncached_calls = _count_map_calls(cached), _count_map_calls(uncached)
-    for x in np.random.default_rng(2).uniform(-3, 3, size=(6, system.n)):
-        for anchor in pool[np.argsort(np.linalg.norm(pool - x, axis=1))[:3]]:
-            np.testing.assert_array_equal(
-                cached._project_slsqp(x, anchor), uncached._project_slsqp(x, anchor)
-            )
-    assert cached_calls[0] < uncached_calls[0]
 
 
 def test_distance_empty_feasible_set():
