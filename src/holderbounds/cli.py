@@ -284,14 +284,18 @@ def _quadratic_data(system: PolySystem):
     for kappa, coeff in f.terms.items():
         idx = [j for j, k in enumerate(kappa) if k]
         degree = sum(kappa)
+        try:
+            value = float(coeff)
+        except OverflowError:
+            raise ValueOverflowError("a coefficient lies outside the floating-point range") from None
         if degree == 0:
-            c0 = float(coeff)
+            c0 = value
         elif degree == 1:
-            b[idx[0]] = float(coeff)
+            b[idx[0]] = value
         elif len(idx) == 1:
-            A[idx[0], idx[0]] = 2.0 * float(coeff)
+            A[idx[0], idx[0]] = 2.0 * value
         else:
-            A[idx[0], idx[1]] = A[idx[1], idx[0]] = float(coeff)
+            A[idx[0], idx[1]] = A[idx[1], idx[0]] = value
     return A, b, c0
 
 

@@ -25,6 +25,10 @@ except ImportError:  # another numpy layout
     _einsum = np.einsum
 
 
+class ValueOverflowError(ValueError):
+    """The system's values, or its coefficients, overflow floating point."""
+
+
 class _CompiledMap:
     """Float evaluation of several polynomials over one sorted union support.
 
@@ -45,9 +49,11 @@ class _CompiledMap:
         support = sorted(set().union(*(f.terms for f in polys)))
         self.nvars = nvars
         self.exps = np.array(support, dtype=np.int64).reshape(-1, nvars)
-        self._set_coeffs(
-            np.array([[float(f.terms.get(e, 0)) for f in polys] for e in support]).reshape(-1, len(polys))
-        )
+        try:
+            coeffs = np.array([[float(f.terms.get(e, 0)) for f in polys] for e in support])
+        except OverflowError:
+            raise ValueOverflowError("a coefficient lies outside the floating-point range") from None
+        self._set_coeffs(coeffs.reshape(-1, len(polys)))
         # Slot k of the ladder holds x^powers[k]; powers increase, so the
         # two lower rungs whose product is rung e come before it.
         powers = _rung_closure(self.exps)

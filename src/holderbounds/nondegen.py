@@ -12,12 +12,10 @@ maximal minors, normalised by per-row monomial gauges to remove the
 quasi-homogeneous scale freedom.  By Cauchy-Binet that sum equals
 det(M M^T), which is evaluated as the product of the squared residual
 norms that modified Gram-Schmidt leaves on the p rows: one p-step loop
-instead of C(n+p, p) determinants.
-``np.linalg.det(M @ M.T)`` is not used: forming M M^T squares the
-condition number, so at exactly rank-deficient points it returns
-roundoff near 1e-13, some of it negative, where the minors and
-Gram-Schmidt give about 1e-29.  Batched QR keeps the precision but ran
-1.7 to 2.7 times slower than Gram-Schmidt at batches of 96 to 4096.
+instead of C(n+p, p) determinants, and not ``det(M @ M.T)``, whose
+squared condition number leaves roundoff near 1e-13 (some of it
+negative) where Gram-Schmidt gives about 1e-29 at exactly
+rank-deficient points.
 
 The search is coordinate-major: points are the columns of an (n, m)
 array and a matrix row is an (n + p, m) array, so each per-point dot
@@ -26,13 +24,18 @@ m-vectors, where a point-major ``sum(axis=1)`` over a row that short is
 slow.  ``_row_sum`` groups those adds as numpy groups a sum along a
 contiguous row, and every other step is elementwise, so each objective,
 projection and descent step has the bits the point-major layout gave.
+Every array pass counts at the batch sizes of the search (a few hundred
+to a few thousand points), so one evaluation builds one power ladder
+and one monomial table for all p rows, contracts each row straight into
+its n + p entries and reduces the rows in place; one descent iteration
+builds its proposals from the live rows it keeps between iterations.
 
 Each face is sampled from its own random stream, in one stage per
 ``tau_axis`` floor, one face and stage at a time.  Then one batched
 coordinate descent runs the best samples of every stage of every face
 together, each row under its own face and stage floor, and a row leaves
 the batch once it sits at its fixed point.  One evaluator serves every
-face: per row index, one monomial table over the union of the faces'
+face: per row index, one compiled map over the union of the faces'
 supports with a 0/1 mask per face.  A row's value and trajectory do not
 depend on the rows or faces beside it, so this finds what one descent per
 face and stage would, with a fraction of the per-call numpy overhead;
@@ -77,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluator import _CompiledMap
+from .evaluator import ValueOverflowError, _CompiledMap
 from .newton import FaceAtInfinity, SystemGeometry, _eliminate, analyze_system
 from .polysys import Exponent, Polynomial, PolySystem, principal_part, rational_str
 
@@ -153,60 +156,79 @@ class _RankTest:
 
     Row i of every face's matrix lives on the support of f_i's principal
     part on that face, a sub-sum of f_i.  So row i is one compiled map
-    over the union of those supports, the Euler terms
-    x_j * d f_i / d x_j followed by f_i, and a 0/1 mask per face keeps
-    that face's monomials.  A masked monomial adds an exact zero to sums
-    taken in support order, so a face's entries and gauges have the same
-    bits as on its own support, whichever faces share the evaluator or
-    the batch.  Points are the columns of an (n, m) coordinate array and
-    carry the index of their face.
+    over the union of those supports: its n + p entries, the Euler terms
+    x_j * d f_i / d x_j, then f_i in column n + i and zero elsewhere.  A
+    0/1 mask per face keeps that face's monomials.  A masked monomial
+    adds an exact zero to sums taken in support order, so a face's
+    entries and gauges have the same bits as on its own support,
+    whichever faces share the evaluator or the batch.  Points are the
+    columns of an (n, m) coordinate array and carry the index of their
+    face.
+
+    One evaluation builds one power ladder and one monomial table over
+    the union of every row's support (``_monomials``), since a monomial's
+    bits depend on it and the point alone.  Row i's table is rows
+    ``_bounds[i]:_bounds[i + 1]`` of one gather of it (``_take``), and all
+    of them are masked in one multiply by the columns of ``_mask`` that
+    the points' faces pick.
     """
 
     def __init__(self, matrices: Sequence[MDeltaMatrix]):
         self.n, self.p = matrices[0].n, matrices[0].p
         # parts[face][i] is the principal part of f_i on the face.
         parts = [[m.entries[i][self.n + i] for i in range(self.p)] for m in matrices]
-        self.rows = []
-        # masks[i][k, face] is 1.0 where monomial k of row i is on the face.
-        self.masks = []
-        for i in range(self.p):
-            union = Polynomial({k: c for face in parts for k, c in face[i].terms.items()}, self.n)
-            row = _CompiledMap([union.euler_term(j) for j in range(self.n)] + [union], self.n)
-            support = [tuple(kappa) for kappa in row.exps.tolist()]
-            self.rows.append(row)
-            mask = [[float(k in face[i].terms) for face in parts] for k in support]
-            self.masks.append(np.array(mask).reshape(len(support), len(parts)))
+        unions = [
+            Polynomial({k: c for face in parts for k, c in face[i].terms.items()}, self.n)
+            for i in range(self.p)
+        ]
+        zero = Polynomial.zero(self.n)
+        self.rows = [
+            _CompiledMap(
+                [union.euler_term(j) for j in range(self.n)]
+                + [union if t == i else zero for t in range(self.p)],
+                self.n,
+            )
+            for i, union in enumerate(unions)
+        ]
+        self._monomials = _CompiledMap(unions, self.n)
+        slot = {kappa: k for k, kappa in enumerate(map(tuple, self._monomials.exps.tolist()))}
+        supports = [[tuple(kappa) for kappa in row.exps.tolist()] for row in self.rows]
+        self._bounds = np.cumsum([0] + [len(support) for support in supports]).tolist()
+        self._take = np.array([slot[kappa] for support in supports for kappa in support], dtype=np.intp)
+        # _mask[k, face] is 1.0 where gathered monomial k is on the face.
+        mask = [[float(k in face[i].terms) for face in parts] for i, s in enumerate(supports) for k in s]
+        self._mask = np.array(mask).reshape(len(self._take), len(parts))
         # A vanishing principal part forces rank < p outright.
         self.zero_row = np.array([any(not part.terms for part in face) for face in parts])
 
     def _evaluate(self, X: np.ndarray, faces) -> tuple[list[np.ndarray], np.ndarray]:
-        """The rows of the matrices at the points X, and the squared
-        product of the row gauges.
+        """The rows of the matrices at the points X, each (n + p, m), and
+        the squared product of the row gauges.
 
-        Row i is the (n + 1, m) block of its Euler terms and its principal
-        part, which stands in column n + i of the matrix.  The gauge
-        g_i(x) = sum over supp(f_i_face) of |x^kappa| bounds every
-        entry of row i up to a constant, so every maximal minor is bounded
-        by a constant times prod_i g_i; dividing the objective by
+        The gauge g_i(x) = sum over supp(f_i_face) of |x^kappa| bounds
+        every entry of row i up to a constant, so every maximal minor is
+        bounded by a constant times prod_i g_i; dividing the objective by
         prod_i g_i^2 removes per-row scale.  On a monomial row the ratio is
         exactly invariant under all coordinate scalings, so sliding toward
         a coordinate hyperplane (which never leaves the full-rank locus)
         cannot masquerade as degeneracy.
         """
+        table = np.take(self._monomials.table(X), self._take, axis=0)
+        table *= np.take(self._mask, np.atleast_1d(faces), axis=1)
+        magnitude = np.abs(table)
         rows = []
-        scale = np.ones(X.shape[1])
-        for row, mask in zip(self.rows, self.masks):
-            table = row.table(X)
-            table *= mask[:, np.atleast_1d(faces)]
-            # contract views einsum's (n + 1, m) output point-major; .T undoes that view.
-            rows.append(row.contract(table).T)
-            scale *= _gauge(table) ** 2
+        scale = 1.0
+        for row, lo, hi in zip(self.rows, self._bounds, self._bounds[1:]):
+            # contract views einsum's (n + p, m) output point-major; .T undoes that view.
+            rows.append(row.contract(table[lo:hi]).T)
+            # The gauge adds its monomials one after another, so that a
+            # masked zero never regroups the sum.
+            scale = scale * _ordered_sum(magnitude[lo:hi]) ** 2
         return rows, scale
 
     def matrices(self, X: np.ndarray, faces=0) -> np.ndarray:
         """The (p, n + p, m) matrices at the points X."""
-        rows = self._evaluate(np.asarray(X, dtype=float), faces)[0]
-        return np.stack([_dense_row(row, i, self.n, self.p) for i, row in enumerate(rows)])
+        return np.stack(self._evaluate(np.asarray(X, dtype=float), faces)[0])
 
     def raw_objective(self, X: np.ndarray, faces=0) -> np.ndarray:
         return _gram_determinant(self._evaluate(np.asarray(X, dtype=float), faces)[0], self.n)
@@ -218,6 +240,9 @@ class _RankTest:
         every point, or one per point.
         """
         X = np.asarray(X, dtype=float)
+        if np.ndim(faces) == 0 and self.zero_row[faces]:
+            # A face with a vanishing principal part reads 0 at every point.
+            return np.zeros(X.shape[1])
         out = np.empty(X.shape[1])
         for start in range(0, X.shape[1], _BATCH_ROWS):
             cols = slice(start, start + _BATCH_ROWS)
@@ -225,21 +250,25 @@ class _RankTest:
             rows, scale = self._evaluate(X[:, cols], chunk)
             det = _gram_determinant(rows, self.n)
             zero = self.zero_row[chunk]
-            out[cols] = np.divide(det, scale, out=np.zeros_like(det), where=~zero)
+            if zero.any():
+                det, scale = np.where(zero, 0.0, det), np.where(zero, 1.0, scale)
+            np.divide(det, scale, out=out[cols])
         return out
 
 
-def _gauge(table: np.ndarray) -> np.ndarray:
-    """Sum of |x^kappa| over a monomial-major table, one monomial after another.
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, 0.0 plus one term after another.
 
-    ``np.sum`` may add the monomials pairwise (it does for a single point
-    and 8 or more monomials), where a masked zero would regroup the sum
-    and change its bits.
+    ``np.add.reduce`` over the first axis of a C-contiguous array adds
+    that way when each term holds two or more values; over single values,
+    or along the smallest stride, it adds pairwise.
     """
-    gauge = np.zeros(table.shape[1])
-    for monomial in np.abs(table):
-        gauge += monomial
-    return gauge
+    if terms.flags.c_contiguous and math.prod(terms.shape[1:]) > 1:
+        return np.add.reduce(terms, axis=0)
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
@@ -255,10 +284,7 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     """
     k = terms.shape[0]
     if k < 8:
-        total = np.zeros(terms.shape[1:])
-        for term in terms:
-            total += term
-        return total
+        return _ordered_sum(terms)
     if k > 128:
         half = k // 2 - k // 2 % 8
         return _row_sum(terms[:half]) + _row_sum(terms[half:])
@@ -273,31 +299,39 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return total + 0.0
 
 
-def _dense_row(row: np.ndarray, i: int, n: int, p: int) -> np.ndarray:
-    """Row i of the matrices as an (n + p, m) array, from its (n + 1, m) block."""
-    v = np.zeros((n + p, row.shape[1]))
-    v[:n] = row[:n]
-    v[n + i] = row[n]
-    return v
-
-
 def _gram_determinant(rows: Sequence[np.ndarray], n: int) -> np.ndarray:
     """det(M M^T) per point, as the product of squared Gram-Schmidt residuals.
 
-    ``rows`` are the p row blocks of ``_RankTest._evaluate``; each row is
-    one (n + p, m) array, so every dot product and norm over the n + p
-    columns is a ``_row_sum`` of m-vectors.
+    ``rows`` are the p rows of the matrices, each an (n + p, m) array,
+    which it overwrites, or each the (n + 1, m) block of its Euler terms
+    and its principal part, which stands in column n + i.  Every dot
+    product and norm over the n + p columns is a ``_row_sum`` of
+    m-vectors.  Each row is reduced in place against the unit residuals
+    before it, through one product buffer; a zero residual's unit vector
+    is zero.
     """
-    det = np.ones(rows[0].shape[1])
-    basis = []
-    for i, row in enumerate(rows):
-        v = _dense_row(row, i, n, len(rows))
-        for q in basis:
-            v -= _row_sum(v * q) * q
-        norm2 = _row_sum(v * v)
-        det *= norm2
-        norm = np.sqrt(norm2)
-        basis.append(np.divide(v, norm, out=np.zeros_like(v), where=norm > 0))
+    p = len(rows)
+    if rows[0].shape[0] != n + p:
+        dense = [np.zeros((n + p, row.shape[1])) for row in rows]
+        for i, (v, row) in enumerate(zip(dense, rows)):
+            v[:n], v[n + i] = row[:n], row[n]
+        rows = dense
+    product = np.empty(rows[0].shape)
+    for i, v in enumerate(rows):
+        for q in rows[:i]:
+            d = _row_sum(np.multiply(v, q, out=product))
+            v -= np.multiply(d, q, out=product)
+        norm2 = _row_sum(np.multiply(v, v, out=product))
+        det = norm2 if i == 0 else det * norm2
+        if i < p - 1:
+            # v becomes its unit residual.
+            norm = np.sqrt(norm2)
+            positive = norm > 0
+            if positive.all():
+                v /= norm
+            else:
+                np.divide(v, np.where(positive, norm, 1.0), out=v)
+                v[:, ~positive] = 0.0
     return det
 
 
@@ -401,12 +435,32 @@ def _project_torus(Y: np.ndarray, tau_axis: float | np.ndarray) -> np.ndarray:
     """Points pushed off the coordinate hyperplanes to ``tau_axis``, with
     their norms clipped into [0.5, 2]; Y[j] holds coordinate j of every
     point, in an array of any shape."""
-    sign = np.where(Y >= 0, 1.0, -1.0)
-    Y = sign * np.maximum(np.abs(Y), tau_axis)
+    return _shell(_off_axes(Y, tau_axis), tau_axis)
+
+
+def _off_axes(Y: np.ndarray, tau_axis) -> np.ndarray:
+    """sign(y) max(|y|, tau_axis) for every coordinate y, where -0.0 counts
+    as positive: max(y, tau_axis) or min(y, -tau_axis)."""
+    return np.where(Y >= 0, np.maximum(Y, tau_axis), np.minimum(Y, -tau_axis))
+
+
+def _shell(Y: np.ndarray, tau_axis) -> np.ndarray:
+    """Points already off the hyperplanes with their norms clipped into
+    [0.5, 2], and pushed off again where that rescaling brought a
+    coordinate under the floor.
+
+    A point whose norm is at most 2 is scaled by 1 or more, so it stays
+    off the hyperplanes, and only the others are pushed again.
+    """
     norms = np.sqrt(_row_sum(Y * Y))
-    Y = Y * (np.clip(norms, 0.5, 2.0) / norms)
-    sign = np.where(Y >= 0, 1.0, -1.0)
-    return sign * np.maximum(np.abs(Y), tau_axis)
+    # np.clip(norms, 0.5, 2.0), without its wrapper's microseconds per call.
+    Y = Y * (np.minimum(np.maximum(norms, 0.5), 2.0) / norms)
+    # A NaN norm is not inside, and is pushed too.
+    inside = norms <= 2.0
+    if not inside.all():
+        far = ~inside
+        Y[:, far] = _off_axes(Y[:, far], np.broadcast_to(tau_axis, far.shape)[far])
+    return Y
 
 
 def _descend(comp: _RankTest, starts: np.ndarray, tau_axis, iters: int, faces=0):
@@ -416,38 +470,55 @@ def _descend(comp: _RankTest, starts: np.ndarray, tau_axis, iters: int, faces=0)
     per-row column of shape (rows, 1), and ``faces`` a face index or one
     per row; the points come back one per row.  Every row descends on its
     own: its trajectory does not depend on which rows share the batch.
-    A row that fails to improve with its step at the 1e-12 floor sits at
-    a fixed point (every later iteration would repeat its proposals), so
-    it leaves the live set; the descent ends when no row is live or after
-    ``iters`` iterations.
+    Each iteration proposes, for every live row, a step up and a step
+    down along each coordinate, projects them and moves to the best
+    proposal if it improves.  A row that fails to improve with its step
+    at the 1e-12 floor sits at a fixed point (every later iteration would
+    repeat its proposals), so it leaves the live set; the descent ends
+    when no row is live or after ``iters`` iterations.
+
+    The live rows' points, values, steps, floors and proposal faces are
+    held compactly and gathered again only when a row leaves.  A live
+    point is already off the hyperplanes, so a proposal needs only its
+    moved coordinate pushed off before the shell projection.
     """
     floor = np.broadcast_to(tau_axis, (starts.shape[0], 1))[:, 0]
     faces = np.broadcast_to(faces, starts.shape[:1])
     X = _project_torus(np.ascontiguousarray(starts, dtype=float).T, floor)
     vals = comp.normalized(X, faces)
-    steps = np.full(X.shape[1], 0.25)
-    live = np.arange(X.shape[1])
     n = comp.n
     axes = np.arange(n)
+    up_down = np.array([1.0, -1.0])[:, None, None]
+    # No objective is negative, so a row at 0 (or NaN) can never improve.
+    live = np.flatnonzero(vals > 0)
+    x, val, step, tau = X[:, live], vals[live], np.full(live.size, 0.25), floor[live]
+    # Column first[r] + 2j + s of the flattened proposals is proposal 2j + s of live row r.
+    first, owner = 2 * n * np.arange(live.size), np.repeat(faces[live], 2 * n)
     for _ in range(iters):
-        step = steps[live]
-        # Proposal 2j (2j + 1) of a live row moves its coordinate j up
-        # (down) by its step: column (row, proposal) of an (n, live, 2n) array.
-        proposals = np.repeat(X[:, live], 2 * n, axis=1).reshape(n, live.size, 2 * n)
-        proposals[axes, :, 2 * axes] += step
-        proposals[axes, :, 2 * axes + 1] -= step
-        proposals = _project_torus(proposals, floor[live][:, None])
-        cand = comp.normalized(proposals.reshape(n, -1), np.repeat(faces[live], 2 * n))
-        cand = cand.reshape(live.size, 2 * n)
-        best = cand.min(axis=1)
-        improved = best < vals[live]
-        moved = live[improved]
-        X[:, moved] = proposals[:, improved, cand.argmin(axis=1)[improved]]
-        vals[moved] = best[improved]
-        steps[live] = np.maximum(np.where(improved, step * 1.4, step * 0.6), 1e-12)
-        live = live[improved | (step > 1e-12)]
         if live.size == 0:
             break
+        # Proposal 2j (2j + 1) of a live row moves its coordinate j up
+        # (down) by its step: column (row, proposal) of an (n, live, 2n) array.
+        proposals = np.repeat(x, 2 * n, axis=1).reshape(n, live.size, 2 * n)
+        moved = _off_axes(x + step * up_down, tau)
+        proposals.reshape(n, live.size, n, 2)[axes, :, axes] = moved.transpose(1, 2, 0)
+        proposals = _shell(proposals, tau[:, None]).reshape(n, -1)
+        cand = comp.normalized(proposals, owner)
+        # An objective is never -0.0, so this is the row minimum but for
+        # the payload of a NaN, which never improves.
+        pick = first + cand.reshape(live.size, 2 * n).argmin(axis=1)
+        best = cand[pick]
+        improved = best < val
+        x = np.where(improved, proposals[:, pick], x)
+        val = np.where(improved, best, val)
+        stay = improved | (step > 1e-12)
+        step = np.maximum(step * np.where(improved, 1.4, 0.6), 1e-12)
+        if not stay.all():
+            X[:, live], vals[live] = x, val
+            live = live[stay]
+            x, val, step, tau = x[:, stay], val[stay], step[stay], tau[stay]
+            first, owner = 2 * n * np.arange(live.size), np.repeat(faces[live], 2 * n)
+    X[:, live], vals[live] = x, val
     return X.T, vals
 
 
@@ -732,7 +803,7 @@ def _certify_faces(
         for tau_axis in schedule:
             # One draw for every orthant: the stream fills it point by
             # point, as one draw per orthant would.
-            g = np.abs(rng.standard_normal((signs.shape[1], n))).T + 1e-12
+            g = np.abs(rng.standard_normal((signs.shape[1], n)).T, order="C") + 1e-12
             X = np.maximum(g / np.sqrt(_row_sum(g * g)), tau_axis) * signs
             vals = comp.normalized(X, face)
             arg = int(vals.argmin())
@@ -807,30 +878,40 @@ def _certify(
     ``nondegenerate_probable`` with no samples.  Every other face goes to
     ``_certify_faces`` under its own index, so it draws its own stream and
     gets the certificate it gets when searched alone.
+
+    numpy's overflow, division and invalid-value warnings are off for the
+    whole call, so an objective that overflows reads inf or NaN without a
+    warning.  A coefficient or closed-form quantity past the float range
+    raises ``ValueOverflowError``.
     """
-    forms = {k: form for k, m in enumerate(matrices) if (form := _closed_form(m)) is not None}
-    certificates = {}
-    if forms:
-        points = [form[1] for form in forms.values()]
-        owner = np.repeat(np.arange(len(forms)), [x.shape[1] for x in points])
-        values = _RankTest([matrices[k] for k in forms]).normalized(np.hstack(points), owner)
-        for slot, (k, (limit, _)) in enumerate(forms.items()):
-            # A NaN value fails the test below and sends the face to the search.
-            value = float(np.min(values[owner == slot], initial=limit))
-            if value > 10 * cfg.tau_zero:
-                certificates[k] = FaceCertificate(
-                    face_index=indices[k],
-                    support=matrices[k].face.support_points,
-                    status="nondegenerate_probable",
-                    objective_min=value,
-                    witness=None,
-                    witness_exact=None,
-                    samples=0,
-                    seed=cfg.seed,
-                    method="exact",
-                )
-    rest = [k for k in range(len(matrices)) if k not in certificates]
-    searched = _certify_faces([matrices[k] for k in rest], [indices[k] for k in rest], cfg)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            forms = {k: form for k, m in enumerate(matrices) if (form := _closed_form(m)) is not None}
+        except OverflowError:
+            message = "a face's closed-form objective lies outside the floating-point range"
+            raise ValueOverflowError(message) from None
+        certificates = {}
+        if forms:
+            points = [form[1] for form in forms.values()]
+            owner = np.repeat(np.arange(len(forms)), [x.shape[1] for x in points])
+            values = _RankTest([matrices[k] for k in forms]).normalized(np.hstack(points), owner)
+            for slot, (k, (limit, _)) in enumerate(forms.items()):
+                # A NaN value fails the test below and sends the face to the search.
+                value = float(np.min(values[owner == slot], initial=limit))
+                if value > 10 * cfg.tau_zero:
+                    certificates[k] = FaceCertificate(
+                        face_index=indices[k],
+                        support=matrices[k].face.support_points,
+                        status="nondegenerate_probable",
+                        objective_min=value,
+                        witness=None,
+                        witness_exact=None,
+                        samples=0,
+                        seed=cfg.seed,
+                        method="exact",
+                    )
+        rest = [k for k in range(len(matrices)) if k not in certificates]
+        searched = _certify_faces([matrices[k] for k in rest], [indices[k] for k in rest], cfg)
     certificates.update(zip(rest, searched))
     return [certificates[k] for k in range(len(matrices))]
 

@@ -39,16 +39,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import ExponentReport
-from .evaluator import _CompiledMap
+from .evaluator import ValueOverflowError, _CompiledMap
 from .polysys import PolySystem, rational_str
 
 
 class FeasibleSetEmptyError(RuntimeError):
     """No feasible point was found within the search budget."""
-
-
-class ValueOverflowError(ValueError):
-    """The system's values overflow floating point at a point."""
 
 
 # -- compiled float views ----------------------------------------------------------

@@ -26,11 +26,11 @@ from holderbounds.nondegen import (
     MDeltaMatrix,
     NondegVerdict,
     _certificate,
-    _gauge,
     build_m_delta,
 )
 from holderbounds.evaluator import _CompiledMap
 
+from kernel_oracle import _gauge
 from layout_oracle import _descend, _gram_determinant
 
 

@@ -23,14 +23,14 @@ from holderbounds.nondegen import (
     CertifyConfig,
     NondegVerdict,
     _certificate,
-    _gauge,
-    _RankTest,
     build_m_delta,
 )
 
+from kernel_oracle import RankTest, _gauge
 
-class PointMajorRankTest(_RankTest):
-    """``nondegen._RankTest`` on points held one per row."""
+
+class PointMajorRankTest(RankTest):
+    """``kernel_oracle.RankTest`` on points held one per row."""
 
     def _evaluate(self, X: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
         """Matrices (m, p, n + p) at the rows of X and the squared product

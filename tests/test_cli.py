@@ -290,6 +290,23 @@ def test_system_without_variables_exits_cleanly(command, text, system_file, caps
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+OUT_OF_RANGE = {"exponent": "f1 = 1e400*x^2 + y^2 - 1", "literal": f"f1 = 1{'0' * 400}*x^2 + y^2 - 1"}
+
+
+@pytest.mark.parametrize("coefficient", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("command", ["analyze", "exponent", "certify", "verify", "slope", "quadratic"])
+def test_coefficient_outside_the_float_range(command, coefficient, system_file, capsys):
+    # Exact geometry and exponents need no floats; every float command
+    # reports the coefficient in one error line.
+    code = main([command, system_file(OUT_OF_RANGE[coefficient]), "--samples", "5", "--point=1,1"])
+    err = capsys.readouterr().err
+    if command in ("analyze", "exponent"):
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def _assert_runs_without_scipy(script: str, *args: str) -> None:
     # scipy costs more than half a second to import and tens of MB of
     # memory, and no command needs it.
