@@ -47,6 +47,12 @@ class FeasibleSetEmptyError(RuntimeError):
     """No feasible point was found within the search budget."""
 
 
+# Every public call runs with numpy's overflow and invalid-value warnings
+# off: a value that overflows is reported once, as a ValueOverflowError
+# or as a null in the output.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 # -- compiled float views ----------------------------------------------------------
 
 
@@ -89,6 +95,7 @@ class _CompiledSystem:
         return self._split(self._map.contract(table)) + (hess, gauge)
 
 
+@_quiet
 def residual(system: PolySystem, x) -> float:
     """Constraint violation [f(x)]_+ = max(0, max_i f_i(x))."""
     return float(max(0.0, _CompiledSystem(system)(x)[0].max()))
@@ -113,11 +120,54 @@ _MULTIPLIER_CAP = 1e4
 _QP_WIDTH = 256
 # Iteration cap of the anchor pool's Gauss-Newton descent.
 _POOL_ITERS = 200
+# The halvings k of a backtracking line search (t = 2^-k, k < 40), in the
+# blocks tried in one map call each: most rows pass at k = 0 and nearly
+# every other row that passes does so by k = 4, so the few rows left hold
+# the 35 trials of the last block.
+_HALVINGS = ((0, 1), (1, 5), (5, 40))
 
 
 def _squared_violation(values: np.ndarray) -> np.ndarray:
     """sum_i [f_i]_+^2 for every row of values: inf or NaN where a value overflowed."""
     return (np.maximum(values, 0.0) ** 2).sum(axis=1)
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of A, each bit-equal to ``np.linalg.norm``
+    of the row alone: a stack of (1, n) @ (n, 1) products runs the same dot
+    product as the vector norm, where ``einsum`` or ``(A * A).sum(axis=1)``
+    sum in another order."""
+    return np.sqrt(np.matmul(A[:, None, :], A[:, :, None]))[:, 0, 0]
+
+
+def _backtrack(count: int, trial):
+    """Backtracking line search over t = 2^-k, k < 40, for ``count`` rows.
+
+    ``trial(rows, t)`` tries row ``rows[i]`` at step size ``t[i]`` for
+    every i and returns the mask of trials that pass and a tuple of
+    per-trial arrays.  Each block of ``_HALVINGS`` tries every row still
+    searching at all of its step sizes in one call; a row's trial does
+    not depend on the others in the call, so each row takes its first
+    passing t, as a search that halves t one call at a time does.
+    Returns every row's t (0 where no halving passes), the rows that
+    passed and, in that order, the arrays of their passing trials.
+    """
+    t = np.zeros(count)
+    pending = np.arange(count)
+    passed, kept = [pending[:0]], []
+    for lo, hi in _HALVINGS:
+        if pending.size == 0:
+            break
+        steps = np.ldexp(1.0, -np.arange(lo, hi))
+        ok, data = trial(np.repeat(pending, hi - lo), np.tile(steps, pending.size))
+        ok = ok.reshape(pending.size, hi - lo)
+        hit = ok.any(axis=1)
+        first = ok[hit].argmax(axis=1)
+        t[pending[hit]] = steps[first]
+        passed.append(pending[hit])
+        kept.append(tuple(d[np.flatnonzero(hit) * (hi - lo) + first] for d in data))
+        pending = pending[~hit]
+    return t, np.concatenate(passed), tuple(map(np.concatenate, zip(*kept)))
 
 
 @dataclass(frozen=True)
@@ -157,7 +207,8 @@ class DistanceOracle:
     squared violation from the least infeasible grid draws, then the
     polish).  ``distances`` projects every infeasible query from its
     nearest anchors in lockstep: each (query, anchor) pair is one row of
-    a batched SQP iteration (``_lockstep``).  A row stops where it is
+    a batched SQP iteration (``_lockstep``).  Both descents backtrack in
+    ``_backtrack``'s blocks of halvings.  A row stops where it is
     when it finds no valid QP active set, when its multipliers blow up
     (the constraint qualification fails, as at S = {0} in sphere_cubic),
     when its line search stalls or at the iteration cap.  Past
@@ -228,31 +279,33 @@ class DistanceOracle:
         """Damped Gauss-Newton descent of the squared violation from every row of X.
 
         Each row takes ``_gauss_newton_step``s of any length, each halved
-        (at most 40 times) until it lowers ``_squared_violation``; a row
-        stops when it has no step or no halving helps, or after
-        ``_POOL_ITERS`` steps.  Rows never interact.
+        (at most 40 times, in ``_backtrack``'s blocks) until it lowers
+        ``_squared_violation``; a row stops when it has no step or no
+        halving helps, or after ``_POOL_ITERS`` steps.  Rows never interact.
         """
         X = np.array(X, dtype=float)
         values, jac = self.comp(X)
         live = np.arange(X.shape[0])
         for _ in range(_POOL_ITERS):
             go, step = self._gauss_newton_step(values[live], jac[live])
-            live, pending, t = live[go], np.arange(go.sum()), 1.0
-            for _ in range(40):
-                if pending.size == 0:
-                    break
-                rows = live[pending]
-                trial = X[rows] - t * step[pending]
-                trial_values, trial_jac = self.comp(trial)
-                ok = _squared_violation(trial_values) < _squared_violation(values[rows])
-                moved = rows[ok]
-                X[moved], values[moved], jac[moved] = trial[ok], trial_values[ok], trial_jac[ok]
-                pending, t = pending[~ok], 0.5 * t
-            live = np.delete(live, pending)
+            live = live[go]
             if live.size == 0:
                 break
+            current = _squared_violation(values[live])
+
+            def trial(rows, t):
+                points = X[live[rows]] - t[:, None] * step[rows]
+                trial_values, trial_jac = self.comp(points)
+                ok = _squared_violation(trial_values) < current[rows]
+                return ok, (points, trial_values, trial_jac)
+
+            t, passed, (points, trial_values, trial_jac) = _backtrack(live.size, trial)
+            moved = live[passed]
+            X[moved], values[moved], jac[moved] = points, trial_values, trial_jac
+            live = live[t > 0]
         return X
 
+    @_quiet
     def feasible_pool(self) -> np.ndarray:
         """At most ``multistarts`` distinct feasible anchors.
 
@@ -276,17 +329,16 @@ class DistanceOracle:
             known = self._polish(np.array(cfg.known_feasible, dtype=float))
             values = self.comp(known)[0].max(axis=1)
             found.extend(known[values <= cfg.tau_feas])
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = _squared_violation(self.comp(draws)[0])
-            picked = np.argsort(scores)[: max(16, cfg.multistarts)]
-            picked = picked[scores[picked] < np.inf]
-            starts, infeasible = draws[picked], scores[picked] > 0
-            starts[infeasible] = self._descend(starts[infeasible])
-            points = self._polish(starts)
-            values = self.comp(points)[0].max(axis=1)
-        for point, value in zip(points, values):
+        scores = _squared_violation(self.comp(draws)[0])
+        picked = np.argsort(scores)[: max(16, cfg.multistarts)]
+        picked = picked[scores[picked] < np.inf]
+        starts, infeasible = draws[picked], scores[picked] > 0
+        starts[infeasible] = self._descend(starts[infeasible])
+        points = self._polish(starts)
+        values = self.comp(points)[0].max(axis=1)
+        for point, value in zip(points, values.tolist()):
             if value <= cfg.tau_feas:
-                if not any(np.linalg.norm(point - q) < 1e-7 for q in found):
+                if not found or not (_row_norms(point - np.array(found)) < 1e-7).any():
                     found.append(point)
             if len(found) >= cfg.multistarts:
                 break
@@ -335,9 +387,12 @@ class DistanceOracle:
             regular = (diag > 0).all(axis=-1)
             diag[~regular] = 1.0
             M = M / (diag[..., :, None] * diag[..., None, :])
-            regular &= np.linalg.eigvalsh(M)[..., 0] > 1e-12
+            # A 1x1 matrix is its own eigenvalue, and its solve a division.
+            least = M[..., 0, 0] if k == 1 else np.linalg.eigvalsh(M)[..., 0]
+            regular &= least > 1e-12
             M = np.where(regular[..., None, None], M, np.eye(k))
-            sub = np.linalg.solve(M, (rhs[:, sets] / diag)[..., None])[..., 0] / diag
+            b = rhs[:, sets] / diag
+            sub = (b / M[..., 0] if k == 1 else np.linalg.solve(M, b[..., None])[..., 0]) / diag
             slots = np.arange(slot, slot + len(sets))
             for column in range(k):
                 lam[:, slots, sets[:, column]] = sub[..., column]
@@ -354,10 +409,15 @@ class DistanceOracle:
         noise = gauge[0][:, None, :] + np.linalg.norm(gauge[1], axis=2)[:, None, :] * size[:, :, None]
         valid &= (linear <= 1e-12 * scale + 1e-15 * noise).all(axis=2)
         valid &= (lam >= -1e-10 * (1.0 + np.abs(lam).max(axis=2, keepdims=True))).all(axis=2)
-        objective = np.einsum("rj,rsj->rs", g, steps) + 0.5 * np.einsum(
-            "rsj,rsj->rs", steps, np.einsum("rjk,rsk->rsj", H, steps)
+        # The QP objective decides only between valid sets: a row with one
+        # (or none) takes its first.
+        best = valid.argmax(axis=1)
+        tied = np.flatnonzero(valid.sum(axis=1) > 1)
+        step = steps[tied]
+        objective = np.einsum("rj,rsj->rs", g[tied], step) + 0.5 * np.einsum(
+            "rsj,rsj->rs", step, np.einsum("rjk,rsk->rsj", H[tied], step)
         )
-        best = np.where(valid, objective, np.inf).argmin(axis=1)
+        best[tied] = np.where(valid[tied], objective, np.inf).argmin(axis=1)
         pick = np.arange(rows)
         lam = np.maximum(lam[pick, best], 0.0)
         if self._qp_constraints < p:
@@ -372,23 +432,28 @@ class DistanceOracle:
         Where H is not, H + rho * sum_{mu_i > 0} grad f_i grad f_i' is
         tried for growing rho: on the constraints' tangent space it equals
         H, and on a correct active set the QP step does not change (the
-        added term is constant there).  Where no rho works, H = I.
+        added term is constant there).  Where no rho works, H = I.  Only
+        a row whose H is not exactly I is checked: a NaN in H (mu_i = 0
+        times an overflowed Hessian) fails the check.
         """
         n = J.shape[2]
         H = np.eye(n) + np.einsum("rp,rpjk->rjk", mu, hess)
-        Jmu = np.where(mu[:, :, None] > 0, J, 0.0)
+        check = np.flatnonzero((H != np.eye(n)).any(axis=(1, 2)))
+        bad = check[np.linalg.eigvalsh(H[check])[:, 0] <= 1e-8]
+        if bad.size == 0:
+            return H
+        Jmu = np.where(mu[bad, :, None] > 0, J[bad], 0.0)
         G = np.einsum("rpj,rpk->rjk", Jmu, Jmu)
-        bad = np.flatnonzero(np.linalg.eigvalsh(H)[:, 0] <= 1e-8)
         base = np.linalg.norm(H[bad], axis=(1, 2)) / np.maximum(
-            np.linalg.norm(G[bad], axis=(1, 2)), 1e-300
+            np.linalg.norm(G, axis=(1, 2)), 1e-300
         )
         for rho in (1.0, 1e1, 1e2, 1e3, 1e4):
-            if bad.size == 0:
-                break
-            trial = H[bad] + (rho * base)[:, None, None] * G[bad]
+            trial = H[bad] + (rho * base)[:, None, None] * G
             fixed = np.linalg.eigvalsh(trial)[:, 0] > 1e-8
             H[bad[fixed]] = trial[fixed]
-            bad, base = bad[~fixed], base[~fixed]
+            bad, base, G = bad[~fixed], base[~fixed], G[~fixed]
+            if bad.size == 0:
+                return H
         H[bad] = np.eye(n)
         return H
 
@@ -398,7 +463,8 @@ class DistanceOracle:
         Each iteration evaluates f, J and the Hessians in one map call,
         takes the QP step with the Lagrangian Hessian of the previous
         multipliers (``_hessian``) and backtracks on the l1 merit
-        |a - x|^2 / 2 + sum_i nu_i [f_i(a)]_+.  A row converges when its
+        |a - x|^2 / 2 + sum_i nu_i [f_i(a)]_+ by at most 40 halvings, in
+        ``_backtrack``'s blocks.  A row converges when its
         QP step is below the floor.  Returns the final points and whether
         each row converged; a row stops where it is when no active set is
         valid, when its multipliers pass the cap, when its line search
@@ -428,28 +494,28 @@ class DistanceOracle:
             excess = np.einsum("rp,rp->r", weights, np.maximum(f, 0.0))
             merit = 0.5 * gnorm**2 + excess
             slope = np.einsum("rj,rj->r", g, s) - excess
-            t = np.ones(live.size)
-            pending = np.flatnonzero(solved)
-            for _ in range(40):
-                if pending.size == 0:
-                    break
-                trial = a[pending] + t[pending, None] * s[pending]
-                d = trial - x[pending]
+            searched = np.flatnonzero(solved)
+
+            def trial(rows, t):
+                rows = searched[rows]
+                points = a[rows] + t[:, None] * s[rows]
+                d = points - x[rows]
                 excess_t = np.einsum(
-                    "rp,rp->r", weights[pending], np.maximum(self.comp(trial)[0], 0.0)
+                    "rp,rp->r", weights[rows], np.maximum(self.comp(points)[0], 0.0)
                 )
                 value = 0.5 * np.einsum("rj,rj->r", d, d) + excess_t
-                ok = value <= merit[pending] + 1e-4 * t[pending] * slope[pending]
-                t[pending[~ok]] *= 0.5
-                pending = pending[~ok]
-            t[pending] = 0.0
+                return value <= merit[rows] + 1e-4 * t * slope[rows], ()
+
+            t = np.ones(live.size)
+            t[searched] = _backtrack(searched.size, trial)[0]
+            failed = searched[t[searched] == 0]
             A[live] = a + t[:, None] * s
             mu[live] = lam
             done = solved & (
                 np.linalg.norm(s, axis=1) <= _STEP_FLOOR * (1.0 + np.linalg.norm(a, axis=1))
             )
             # A row whose line search failed short of its floor is stuck.
-            solved[pending] = done[pending]
+            solved[failed] = done[failed]
             converged[live[done]] = True
             live = live[solved & ~done]
             if live.size == 0:
@@ -459,6 +525,7 @@ class DistanceOracle:
     def distance(self, x) -> DistanceResult:
         return self.distances(np.asarray(x, dtype=float)[None])[0]
 
+    @_quiet
     def distances(self, X) -> list[DistanceResult]:
         """Distance upper bounds for every row of X (see the class docstring)."""
         X = np.asarray(X, dtype=float)
@@ -476,8 +543,8 @@ class DistanceOracle:
         if not (values < np.inf).all():
             raise ValueOverflowError("the system's values overflow floating point at a queried point")
         out: list[DistanceResult | None] = [
-            DistanceResult(0.0, tuple(float(v) for v in x), float(v)) if v <= cfg.tau_feas else None
-            for x, v in zip(X, values)
+            DistanceResult(0.0, tuple(x), v) if v <= cfg.tau_feas else None
+            for x, v in zip(X.tolist(), values.tolist())
         ]
         queries = np.flatnonzero(values > cfg.tau_feas)
         if queries.size == 0:
@@ -486,48 +553,45 @@ class DistanceOracle:
         Q = X[queries]
         dists = np.linalg.norm(pool[None, :, :] - Q[:, None, :], axis=2)
         order = np.argsort(dists, axis=1)[:, : cfg.multistarts]
-        best_d = dists.min(axis=1)
+        width = order.shape[1]
+        best_d = dists.min(axis=1).tolist()
         best_a = pool[dists.argmin(axis=1)]
-        stalls = np.zeros(len(Q), dtype=int)
-        walked = np.zeros(len(Q), dtype=int)
-        ended = np.zeros(len(Q), dtype=bool)
-        walking = list(range(len(Q))) if order.shape[1] else []
+        stalls = [0] * len(Q)
+        walked = [0] * len(Q)
+        ended = [False] * len(Q)
+        walking = list(range(len(Q))) if width else []
         # Rounds: project, for every query still walking, the anchors that
         # could end its walk, then advance the walks over the results.  A
         # converged row descends its merit from a feasible anchor, so the
         # first anchor's projection ends nearer than the anchor (the bound
-        # so far) unless the anchor is already a local projection; it
-        # improved on all 1,347 infeasible queries of the desk benchmark's
-        # verify jobs at seeds 42 and 5.  So the first round takes one
-        # anchor more and saves a round.
+        # so far) unless the anchor is already a local projection.  So the
+        # first round takes one anchor more and saves a round.
         while walking:
             rows = [
                 (q, k)
                 for q in walking
                 for k in range(
                     walked[q],
-                    min(
-                        walked[q] + max(1, cfg.stall_limit - stalls[q]) + (walked[q] == 0),
-                        order.shape[1],
-                    ),
+                    min(walked[q] + max(1, cfg.stall_limit - stalls[q]) + (walked[q] == 0), width),
                 )
             ]
             qs = np.array([q for q, _ in rows])
             anchors = pool[order[qs, [k for _, k in rows]]]
             points = self._polish(self._lockstep(Q[qs], anchors)[0])
-            feasible = self.comp(points)[0].max(axis=1) <= cfg.tau_feas
+            feasible = (self.comp(points)[0].max(axis=1) <= cfg.tau_feas).tolist()
+            gaps = _row_norms(points - Q[qs]).tolist()
+            nearest = {}  # query -> its row of this round that tightened its bound last
             for row, (q, k) in enumerate(rows):
                 if ended[q]:
                     continue
-                improved = False
-                if feasible[row]:
-                    d = np.linalg.norm(points[row] - Q[q])
-                    if d < best_d[q] - 1e-12:
-                        best_d[q], best_a[q] = d, points[row]
-                        improved = True
+                improved = feasible[row] and gaps[row] < best_d[q] - 1e-12
+                if improved:
+                    best_d[q] = gaps[row]
+                    nearest[q] = row
                 stalls[q] = 0 if improved else stalls[q] + 1
                 walked[q] = k + 1
-                ended[q] = stalls[q] >= cfg.stall_limit or walked[q] == order.shape[1]
+                ended[q] = stalls[q] >= cfg.stall_limit or walked[q] == width
+            best_a[list(nearest)] = points[list(nearest.values())]
             walking = [q for q in walking if not ended[q]]
         own = self._polish(Q)
         own_d = np.linalg.norm(own - Q, axis=1)
@@ -535,10 +599,9 @@ class DistanceOracle:
         best_d = np.where(own_ok, own_d, best_d)
         best_a[own_ok] = own[own_ok]
         violations = self.comp(best_a)[0].max(axis=1)
-        for q, i in enumerate(queries):
-            out[i] = DistanceResult(
-                float(best_d[q]), tuple(float(v) for v in best_a[q]), float(violations[q])
-            )
+        records = zip(best_d.tolist(), best_a.tolist(), violations.tolist())
+        for i, (d, a, v) in zip(queries.tolist(), records):
+            out[i] = DistanceResult(d, tuple(a), v)
         return out
 
 
@@ -617,6 +680,7 @@ class SlopeResult:
     active: tuple[int, ...]
 
 
+@_quiet
 def slope(system: PolySystem, x, tau_active: float | None = None) -> SlopeResult:
     """Nonsmooth slope of max_i f_i at x.
 
@@ -653,32 +717,35 @@ def _slope_from_data(values, grads, p, tau_active=None) -> SlopeResult:
     )
 
 
-def _row_norms(A: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of A, each bit-equal to ``np.linalg.norm``
-    of the row alone: a stack of (1, n) @ (n, 1) products runs the same dot
-    product as the vector norm, where ``einsum`` or ``(A * A).sum(axis=1)``
-    sum in another order."""
-    return np.sqrt(np.matmul(A[:, None, :], A[:, :, None]))[:, 0, 0]
-
-
-def _active(values: np.ndarray) -> np.ndarray:
+def _active(values: np.ndarray, fmax: np.ndarray) -> np.ndarray:
     """Per row, the components ``_slope_from_data`` counts active at its
-    default tolerance; a row with none has values that overflowed."""
-    fmax = values.max(axis=1)
+    default tolerance, given the row maxima ``fmax``; a row with none has
+    values that overflowed."""
     return fmax[:, None] - values <= (1e-8 * (1.0 + np.abs(fmax)))[:, None]
 
 
-def _slopes(values: np.ndarray, grads: np.ndarray, p: int) -> np.ndarray:
+def _slopes(values: np.ndarray, grads: np.ndarray, p: int, active=None) -> np.ndarray:
     """``_slope_from_data(values[i], grads[i], p).value`` for every row, bit for bit.
 
-    A row with one active component takes its gradient's norm in one
+    ``active`` is ``_active`` of the values, where the caller has it.  A
+    row with one active component takes its gradient's norm in one
     batch; any other row goes through ``_slope_from_data``.
     """
-    active = _active(values)
+    if active is None:
+        active = _active(values, values.max(axis=1))
     out = _row_norms(grads[np.arange(len(values)), active.argmax(axis=1)])
     for i in np.flatnonzero(active.sum(axis=1) != 1):
         out[i] = _slope_from_data(values[i], grads[i], p).value
     return out
+
+
+def _positive_slopes(values: np.ndarray, grads: np.ndarray, p: int):
+    """The mask of rows with a positive residual and some active component
+    (a row with none has values that overflowed), and their slopes."""
+    fmax = values.max(axis=1)
+    active = _active(values, fmax)
+    mask = (fmax > 0) & active.any(axis=1)
+    return mask, _slopes(values[mask], grads[mask], p, active[mask])
 
 
 # -- sampling plans ----------------------------------------------------------------
@@ -798,12 +865,10 @@ def _ring_slopes(comp, X, p):
     samples with finite positive values, and how many samples outside S
     have no finite slope because a value or a gradient overflowed."""
     values, grads = comp(X)
-    fmax = values.max(axis=1)
-    # A sample whose values overflowed has no slope.
-    mask = (fmax > 0) & _active(values).any(axis=1)
+    mask, positive = _positive_slopes(values, grads, p)
     slopes = np.full(X.shape[0], np.nan)
-    slopes[mask] = _slopes(values[mask], grads[mask], p)
-    overflowed = ~(fmax <= 0) & ~np.isfinite(slopes)
+    slopes[mask] = positive
+    overflowed = ~(values.max(axis=1) <= 0) & ~np.isfinite(slopes)
     return slopes, mask, int(overflowed.sum())
 
 
@@ -887,6 +952,7 @@ def _nelder_mead(fun, X0, maxiter: int, xatol: float, fatol: float) -> np.ndarra
     return best
 
 
+@_quiet
 def probe_goodness(
     system: PolySystem,
     plan: SamplePlan,
@@ -941,9 +1007,10 @@ def probe_goodness(
         out = np.full(len(points), np.inf)
         norm = _row_norms(points)
         ok = np.flatnonzero(~(norm < 1e-9))
-        values, jac = comp(row_radius[rows[ok], None] * points[ok] / norm[ok, None])
-        positive = ~(values.max(axis=1) <= 0) & _active(values).any(axis=1)
-        out[ok[positive]] = _slopes(values[positive], jac[positive], p)
+        mask, slopes = _positive_slopes(
+            *comp(row_radius[rows[ok], None] * points[ok] / norm[ok, None]), p
+        )
+        out[ok[mask]] = slopes
         return out
 
     X0 = np.array(starts).reshape(-1, n)
@@ -1025,6 +1092,7 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+@_quiet
 def verify_bound(
     system: PolySystem,
     report: ExponentReport,
@@ -1075,27 +1143,21 @@ def verify_bound(
     records = []
     violations = 0
     fitted = None
-    for i in range(X.shape[0]):
-        x = X[i]
-        res = float(max(0.0, values[i].max()))
-        dist = distances[i]
+    for x, fmax, dist, sample_slope in zip(
+        X.tolist(), values.max(axis=1).tolist(), distances, slopes.tolist()
+    ):
+        res = max(0.0, fmax)
         if dist > tau_dist:
             numerator = res**alpha + res if res > 0 else 0.0
             ratio = numerator / dist
-            if not np.isfinite(ratio) or ratio <= 0:
+            if not math.isfinite(ratio) or ratio <= 0:
                 violations += 1
-            if np.isfinite(ratio) and (fitted is None or ratio < fitted):
+            if math.isfinite(ratio) and (fitted is None or ratio < fitted):
                 fitted = ratio
         else:
             ratio = None
         records.append(
-            SampleRecord(
-                x=tuple(float(v) for v in x),
-                residual=res,
-                distance=dist,
-                slope=float(slopes[i]),
-                ratio=ratio,
-            )
+            SampleRecord(x=tuple(x), residual=res, distance=dist, slope=sample_slope, ratio=ratio)
         )
 
     goodness = None
