@@ -111,11 +111,11 @@ class QuadraticBound:
         }
 
 
-def quadratic_bound(A, b, c0: float = 0.0, eig_cutoff: float = 1e-10) -> QuadraticBound:
+def quadratic_bound(A, b, c0: float = 0.0) -> QuadraticBound:
     """Distance bound for one quadratic: constant sqrt(2*lambda(A))/2.
 
     ``lambda(A)`` is the smallest magnitude among eigenvalues exceeding
-    ``eig_cutoff`` times the spectral radius.  Requires a critical point,
+    1e-10 times the spectral radius.  Requires a critical point,
     i.e. ``-b`` in the range of ``A``.
     """
     A = np.asarray(A, dtype=float)
@@ -131,7 +131,7 @@ def quadratic_bound(A, b, c0: float = 0.0, eig_cutoff: float = 1e-10) -> Quadrat
         raise ValueError("A must be symmetric")
     eigenvalues = np.linalg.eigvalsh(A)
     top = np.abs(eigenvalues).max()
-    nonzero = np.abs(eigenvalues)[np.abs(eigenvalues) > eig_cutoff * top]
+    nonzero = np.abs(eigenvalues)[np.abs(eigenvalues) > 1e-10 * top]
     lam = float(nonzero.min())
     critical, residual, *_ = np.linalg.lstsq(A, -b, rcond=None)
     gap = np.linalg.norm(A @ critical + b)

@@ -33,32 +33,26 @@ from .bounds import holder_exponent, quadratic_bound
 from .newton import FaceEnumerationError, analyze_system, face_to_json
 from .nondegen import CertifyConfig, certify_system
 from .polysys import ParseError, PolynomialError, PolySystem, parse_system
-from .verify import (
-    DistanceConfig,
-    FeasibleSetEmptyError,
-    SamplePlan,
-    ValueOverflowError,
-    slope,
-    verify_bound,
-)
+from .verify import FeasibleSetEmptyError, SamplePlan, ValueOverflowError, slope, verify_bound
 
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 
-DEFAULT_TAU_AXIS_SCHEDULE = (1e-1, 1e-2, 1e-3)
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One command's settings; each field is the ``dest`` of its CLI flag,
+    whose default is the field's."""
+
     command: str
     input_path: str
-    seed: int = 42
+    seed: int = CertifyConfig.seed
     samples: int | None = None
     box: tuple[tuple[float, float], ...] | None = None
     rings: tuple[float, ...] | None = None
     point: tuple[float, ...] | None = None
-    tau_zero: float = 1e-12
+    tau_zero: float = CertifyConfig.tau_zero
     tau_axis: float | None = None
     output_format: str = "text"
     out_path: str | None = None
@@ -69,15 +63,16 @@ def _g6(value) -> str:
 
 
 def _axis_schedule(tau_axis: float | None) -> tuple[float, ...]:
+    """The default floors above ``tau_axis``, then ``tau_axis`` itself."""
+    schedule = CertifyConfig.tau_axis_schedule
     if tau_axis is None:
-        return DEFAULT_TAU_AXIS_SCHEDULE
-    kept = tuple(t for t in DEFAULT_TAU_AXIS_SCHEDULE if t > tau_axis)
-    return kept + (tau_axis,)
+        return schedule
+    return tuple(t for t in schedule if t > tau_axis) + (tau_axis,)
 
 
 def _certify_config(cfg: RunConfig) -> CertifyConfig:
     return CertifyConfig(
-        samples=4096 if cfg.samples is None else cfg.samples,
+        samples=CertifyConfig.samples if cfg.samples is None else cfg.samples,
         tau_zero=cfg.tau_zero,
         tau_axis_schedule=_axis_schedule(cfg.tau_axis),
         seed=cfg.seed,
@@ -194,7 +189,7 @@ def _run_verify(cfg: RunConfig):
     try:
         plan = SamplePlan(
             box=box,
-            count=2000 if cfg.samples is None else cfg.samples,
+            count=SamplePlan.count if cfg.samples is None else cfg.samples,
             rings=cfg.rings,
             seed=cfg.seed,
         )
@@ -209,12 +204,7 @@ def _run_verify(cfg: RunConfig):
         nondegenerate_probable=verdict.status == "nondegenerate_probable",
     )
 
-    verification = verify_bound(
-        system,
-        report,
-        plan,
-        dist_cfg=DistanceConfig(seed=cfg.seed, search_box=box),
-    )
+    verification = verify_bound(system, report, plan)
     payload = {
         "exponent": report.to_json(),
         "certification": verdict.to_json(),
@@ -401,16 +391,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p._negative_number_matcher = negative_value
-        p.add_argument("input", help="polynomial system file")
-        p.add_argument("--seed", type=_nonnegative_int, default=42)
+        p.add_argument("input_path", metavar="input", help="polynomial system file")
+        p.add_argument("--seed", type=_nonnegative_int, default=RunConfig.seed)
         p.add_argument("--samples", type=_positive_int, default=None)
         p.add_argument("--box", type=_finite_box, default=None, help="lo:hi,lo:hi,...")
         p.add_argument("--rings", type=_finite_floats, default=None, help="r1,r2,...")
         p.add_argument("--point", type=_finite_floats, default=None, help="v1,v2,...")
-        p.add_argument("--tau-zero", type=_positive_float, default=1e-12)
+        p.add_argument("--tau-zero", type=_positive_float, default=RunConfig.tau_zero)
         p.add_argument("--tau-axis", type=_unit_interval, default=None)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None)
+        p.add_argument(
+            "--format", dest="output_format", choices=("text", "json"), default=RunConfig.output_format
+        )
+        p.add_argument("--out", dest="out_path", metavar="OUT", default=None)
     return parser
 
 
@@ -420,19 +412,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        seed=args.seed,
-        samples=args.samples,
-        box=args.box,
-        rings=args.rings,
-        point=args.point,
-        tau_zero=args.tau_zero,
-        tau_axis=args.tau_axis,
-        output_format=args.format,
-        out_path=args.out,
-    )
+    cfg = RunConfig(**vars(args))
     try:
         code, rendered = run(cfg)
         if cfg.out_path:

@@ -66,7 +66,9 @@ in exact arithmetic the verdict is exact, otherwise it is numerical with
 the achieved objective.  A "nondegenerate_probable" verdict from the
 search is evidence, not proof: sampling plus local descent, never a
 positivity certificate.  An exact one rests on an exact Sturm count; its
-minimum is a float.
+minimum is a float, inf where it lies past the float range.  A searched
+face whose every sample's objective overflowed is "inconclusive" with
+reason "overflow".
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class _RankTest:
         return np.stack(self._evaluate(np.asarray(X, dtype=float), faces)[0])
 
     def raw_objective(self, X: np.ndarray, faces=0) -> np.ndarray:
-        return _gram_determinant(self._evaluate(np.asarray(X, dtype=float), faces)[0], self.n)
+        return _gram_determinant(self._evaluate(np.asarray(X, dtype=float), faces)[0])
 
     def normalized(self, X: np.ndarray, faces=0) -> np.ndarray:
         """Minor objective divided by the squared product of row gauges.
@@ -248,7 +250,7 @@ class _RankTest:
             cols = slice(start, start + _BATCH_ROWS)
             chunk = faces[cols] if np.ndim(faces) else faces
             rows, scale = self._evaluate(X[:, cols], chunk)
-            det = _gram_determinant(rows, self.n)
+            det = _gram_determinant(rows)
             zero = self.zero_row[chunk]
             if zero.any():
                 det, scale = np.where(zero, 0.0, det), np.where(zero, 1.0, scale)
@@ -299,23 +301,16 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return total + 0.0
 
 
-def _gram_determinant(rows: Sequence[np.ndarray], n: int) -> np.ndarray:
+def _gram_determinant(rows: Sequence[np.ndarray]) -> np.ndarray:
     """det(M M^T) per point, as the product of squared Gram-Schmidt residuals.
 
     ``rows`` are the p rows of the matrices, each an (n + p, m) array,
-    which it overwrites, or each the (n + 1, m) block of its Euler terms
-    and its principal part, which stands in column n + i.  Every dot
-    product and norm over the n + p columns is a ``_row_sum`` of
-    m-vectors.  Each row is reduced in place against the unit residuals
-    before it, through one product buffer; a zero residual's unit vector
-    is zero.
+    which it overwrites.  Every dot product and norm over the n + p
+    columns is a ``_row_sum`` of m-vectors.  Each row is reduced in place
+    against the unit residuals before it, through one product buffer; a
+    zero residual's unit vector is zero.
     """
     p = len(rows)
-    if rows[0].shape[0] != n + p:
-        dense = [np.zeros((n + p, row.shape[1])) for row in rows]
-        for i, (v, row) in enumerate(zip(dense, rows)):
-            v[:n], v[n + i] = row[:n], row[n]
-        rows = dense
     product = np.empty(rows[0].shape)
     for i, v in enumerate(rows):
         for q in rows[:i]:
@@ -393,7 +388,8 @@ class FaceCertificate:
     seed: int
     # "exact" when decided in closed form, "search" when sampled and descended.
     method: str = "search"
-    # Why an inconclusive face is inconclusive: "axis_floor" or "objective_band".
+    # Why an inconclusive face is inconclusive: "axis_floor", "objective_band"
+    # or "overflow" (every sampled objective overflowed).
     reason: str | None = None
 
     def to_json(self) -> dict:
@@ -406,7 +402,8 @@ class FaceCertificate:
             "witness_exact": list(self.witness_exact)
             if self.witness_exact is not None
             else None,
-            "objective_min": self.objective_min,
+            # JSON has no inf: a minimum past the float range is null.
+            "objective_min": self.objective_min if math.isfinite(self.objective_min) else None,
             "samples": self.samples,
             "seed": self.seed,
             "support": [list(p) for p in self.support],
@@ -734,7 +731,7 @@ def _closed_form(matrix: MDeltaMatrix):
     has no zero on the torus, else None: the face is left to the search.
 
     ``limit`` is the least of the objective's limits at t -> 0 and
-    t -> inf, and ``points`` (one per column) are torus points on the
+    t -> inf, exact, and ``points`` (one per column) are torus points on the
     orbits of its critical points: t = +u or -u, for each root u > 0 of
     G'H - 2GH' with G(t) or G(-t) in the place of G.
     """
@@ -762,7 +759,7 @@ def _closed_form(matrix: MDeltaMatrix):
             x = np.exp(math.log(u) * np.array(v) / norm2)
             x[odd] *= sign
             points.append(x)
-    return float(limit), np.array(points, dtype=float).reshape(-1, matrix.n).T
+    return limit, np.array(points, dtype=float).reshape(-1, matrix.n).T
 
 
 def _certify_faces(
@@ -854,6 +851,10 @@ def _certificate(
     elif best_val <= 10 * cfg.tau_zero:
         status = "inconclusive"
         reason = "objective_band"
+    elif best_val == np.inf:
+        # No sample gave a finite objective, so there is no evidence.
+        status = "inconclusive"
+        reason = "overflow"
     else:
         status = "nondegenerate_probable"
     return FaceCertificate(
@@ -881,8 +882,9 @@ def _certify(
 
     numpy's overflow, division and invalid-value warnings are off for the
     whole call, so an objective that overflows reads inf or NaN without a
-    warning.  A coefficient or closed-form quantity past the float range
-    raises ``ValueOverflowError``.
+    warning.  A closed-form limit past the float range is compared
+    exactly and reported as inf; a coefficient or other closed-form
+    quantity past it raises ``ValueOverflowError``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
@@ -896,9 +898,13 @@ def _certify(
             owner = np.repeat(np.arange(len(forms)), [x.shape[1] for x in points])
             values = _RankTest([matrices[k] for k in forms]).normalized(np.hstack(points), owner)
             for slot, (k, (limit, _)) in enumerate(forms.items()):
+                try:
+                    reported = float(limit)
+                except OverflowError:
+                    reported = math.inf
                 # A NaN value fails the test below and sends the face to the search.
-                value = float(np.min(values[owner == slot], initial=limit))
-                if value > 10 * cfg.tau_zero:
+                value = float(np.min(values[owner == slot], initial=reported))
+                if limit > 10 * cfg.tau_zero and value > 10 * cfg.tau_zero:
                     certificates[k] = FaceCertificate(
                         face_index=indices[k],
                         support=matrices[k].face.support_points,

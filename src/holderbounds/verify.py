@@ -191,6 +191,21 @@ class DistanceConfig:
     stall_limit: int = 3
     polish_iters: int = 12
 
+    def __post_init__(self):
+        for name in ("multistarts", "grid_points", "stall_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.polish_iters < 0:
+            raise ValueError(f"polish_iters must be non-negative, got {self.polish_iters}")
+        # A NaN tolerance would count no point feasible, and report S empty.
+        if not (math.isfinite(self.tau_feas) and self.tau_feas > 0):
+            raise ValueError(f"tau_feas must be finite and positive, got {self.tau_feas}")
+        for name in ("search_box", "known_feasible"):
+            if not all(map(math.isfinite, itertools.chain.from_iterable(getattr(self, name) or ()))):
+                raise ValueError(f"{name} must be finite")
+        if any(lo > hi for lo, hi in self.search_box or ()):
+            raise ValueError("search_box intervals must satisfy lo <= hi")
+
 
 @dataclass(frozen=True)
 class DistanceResult:
@@ -559,7 +574,7 @@ class DistanceOracle:
         stalls = [0] * len(Q)
         walked = [0] * len(Q)
         ended = [False] * len(Q)
-        walking = list(range(len(Q))) if width else []
+        walking = list(range(len(Q)))
         # Rounds: project, for every query still walking, the anchors that
         # could end its walk, then advance the walks over the results.  A
         # converged row descends its merit from a feasible anchor, so the
@@ -613,17 +628,15 @@ def distance_to_S(system: PolySystem, x, cfg: DistanceConfig | None = None) -> D
 # -- nonsmooth slope ---------------------------------------------------------------
 
 
-def _wolfe_min_norm(points: np.ndarray, tol: float = 1e-9):
+def _wolfe_min_norm(points: np.ndarray):
     """Minimum-norm point of conv(rows) by corral maintenance.
 
     Support points enter one at a time; each corral is re-solved by
     affine minimisation and trimmed back to the simplex along the
-    improving segment.  Finite and exact to ``tol`` for the small point
-    counts used here.
+    improving segment.  Finite and exact to a relative 1e-9 for the
+    small point counts used here; a single point is its own minimum.
     """
     m = points.shape[0]
-    if m == 1:
-        return points[0].copy(), np.array([1.0])
     norms2 = (points**2).sum(axis=1)
     S = [int(np.argmin(norms2))]
     lam = np.array([1.0])
@@ -632,7 +645,7 @@ def _wolfe_min_norm(points: np.ndarray, tol: float = 1e-9):
         ww = float(w @ w)
         dots = points @ w
         j = int(np.argmin(dots))
-        if dots[j] >= ww - tol * max(1.0, ww) or j in S:
+        if dots[j] >= ww - 1e-9 * max(1.0, ww) or j in S:
             break
         S.append(j)
         lam = np.append(lam, 0.0)
@@ -681,32 +694,26 @@ class SlopeResult:
 
 
 @_quiet
-def slope(system: PolySystem, x, tau_active: float | None = None) -> SlopeResult:
+def slope(system: PolySystem, x) -> SlopeResult:
     """Nonsmooth slope of max_i f_i at x.
 
-    Minimum norm over convex combinations of the active gradients; ties
-    are resolved with a relative tolerance because exact float ties do
-    not happen.
+    Minimum norm over convex combinations of the active gradients.
+    Exact float ties do not happen, so component i is active when
+    max_j f_j(x) - f_i(x) <= 1e-8 (1 + |max_j f_j(x)|).
     """
     values, jac = _CompiledSystem(system)(x)
-    return _slope_from_data(values[0], jac[0], system.p, tau_active)
+    return _slope_from_data(values[0], jac[0], system.p)
 
 
-def _slope_from_data(values, grads, p, tau_active=None) -> SlopeResult:
+def _slope_from_data(values, grads, p) -> SlopeResult:
     fmax = float(values.max())
-    if tau_active is None:
-        tau_active = 1e-8 * (1.0 + abs(fmax))
+    tau_active = 1e-8 * (1.0 + abs(fmax))
     active = [i for i in range(p) if fmax - values[i] <= tau_active]
     if not active:
         # Only a value that overflowed (a NaN, or inf - inf) leaves every
         # component inactive.
         raise ValueOverflowError("the system's values overflow floating point at the point")
-    gm = np.asarray(grads)[active]
-    if len(active) == 1:
-        w = gm[0]
-        lam = np.array([1.0])
-    else:
-        w, lam = _wolfe_min_norm(gm)
+    w, lam = _wolfe_min_norm(np.asarray(grads)[active])
     multipliers = [0.0] * p
     for i, a in enumerate(active):
         multipliers[a] = float(lam[i])
@@ -718,9 +725,8 @@ def _slope_from_data(values, grads, p, tau_active=None) -> SlopeResult:
 
 
 def _active(values: np.ndarray, fmax: np.ndarray) -> np.ndarray:
-    """Per row, the components ``_slope_from_data`` counts active at its
-    default tolerance, given the row maxima ``fmax``; a row with none has
-    values that overflowed."""
+    """Per row, the components ``_slope_from_data`` counts active, given
+    the row maxima ``fmax``; a row with none has values that overflowed."""
     return fmax[:, None] - values <= (1e-8 * (1.0 + np.abs(fmax)))[:, None]
 
 
@@ -753,13 +759,17 @@ def _positive_slopes(values: np.ndarray, grads: np.ndarray, p: int):
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Box sampling plan with optional far-field rings."""
+    """Box sampling plan with optional far-field rings.
+
+    With a feasible anchor pool, ``count // 4`` of the ``count`` samples
+    are bisected onto the boundary of S (``_boundary_biased_samples``);
+    the rest are drawn from the box.
+    """
 
     box: tuple[tuple[float, float], ...]
     count: int = 2000
     rings: tuple[float, ...] | None = None
     seed: int = 42
-    boundary_fraction: float = 0.25
 
     def __post_init__(self):
         if self.count < 1:
@@ -778,43 +788,37 @@ class SamplePlan:
 
 
 def _stratified_box_samples(rng, box, count):
-    n = len(box)
+    """``count`` uniform draws from the box, spread evenly over the sign
+    orthants (the first ``count % 2^n`` get one more), orthant by orthant.
+
+    A coordinate whose interval straddles 0 keeps the orthant's sign; the
+    others take their whole interval.  One draw over per-sample bounds
+    fills the samples in the order one draw per orthant would.
+    """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    orthants = list(itertools.product((1, -1), repeat=n))
+    orthants = np.array(list(itertools.product((1, -1), repeat=len(box))))
     quota, extra = divmod(count, len(orthants))
-    out = []
-    for idx, sigma in enumerate(orthants):
-        take = quota + (1 if idx < extra else 0)
-        if take == 0:
-            continue
-        slo = lo.copy()
-        shi = hi.copy()
-        for j, s in enumerate(sigma):
-            if lo[j] < 0.0 < hi[j]:
-                if s > 0:
-                    slo[j] = 0.0
-                else:
-                    shi[j] = 0.0
-        out.append(rng.uniform(slo, shi, size=(take, n)))
-    return np.vstack(out)
+    sigma = np.repeat(orthants, quota + (np.arange(len(orthants)) < extra), axis=0)
+    straddle = (lo < 0.0) & (0.0 < hi)
+    return rng.uniform(
+        np.where(straddle & (sigma > 0), 0.0, lo), np.where(straddle & (sigma < 0), 0.0, hi)
+    )
 
 
 def _boundary_biased_samples(rng, comp, base, anchors, count):
     """Bisect sample->anchor segments to land just outside {f <= 0}.
 
-    The (sample, anchor) pairs are drawn first; the 40 bisection steps
-    then run over every segment at once, one batch evaluation per step.
+    The (sample, anchor) pairs are drawn first, in one call that draws
+    each pair's sample index and then its anchor index; the 40 bisection
+    steps then run over every segment at once, one batch evaluation per
+    step.
     """
     positive = base[comp(base)[0].max(axis=1) > 0]
-    if not len(positive) or anchors is None or len(anchors) == 0:
+    if not len(positive):
         return np.empty((0, comp.n))
-    pairs = [
-        (int(rng.integers(len(positive))), int(rng.integers(len(anchors))))
-        for _ in range(count)
-    ]
-    X = positive[[i for i, _ in pairs]]
-    A = anchors[[j for _, j in pairs]]
+    pairs = rng.integers([len(positive), len(anchors)], size=(count, 2))
+    X, A = positive[pairs[:, 0]], anchors[pairs[:, 1]]
     t_out, t_in = np.zeros((count, 1)), np.ones((count, 1))
     for _ in range(40):
         mid = 0.5 * (t_out + t_in)
@@ -1036,6 +1040,9 @@ def probe_goodness(
 
 # -- bound verification ------------------------------------------------------------
 
+# The least distance bound at which a sample's ratio counts (``tau_dist``).
+_TAU_DIST = 1e-6
+
 
 def _finite_or_none(value: float | None) -> float | None:
     """JSON has no inf or NaN: a value that overflowed is reported as null."""
@@ -1099,15 +1106,15 @@ def verify_bound(
     plan: SamplePlan,
     distance_fn: Callable[[np.ndarray], float] | None = None,
     dist_cfg: DistanceConfig | None = None,
-    tau_dist: float = 1e-6,
     anchors: Sequence[Sequence[float]] | None = None,
 ) -> VerificationReport:
     """Sample the bound ratio ([f]_+^alpha + [f]_+) / d(x, S) over a plan.
 
     ``fitted_c`` is the smallest ratio over samples further than
-    ``tau_dist`` from the feasible set; a non-finite or non-positive
-    ratio there counts as a violation (with an upper-bound distance
-    oracle that indicates an oracle bug, not a failure of the bound).
+    ``tau_dist`` = 1e-6 from the feasible set, a constant the report
+    records; a non-finite or non-positive ratio there counts as a
+    violation (with an upper-bound distance oracle that indicates an
+    oracle bug, not a failure of the bound).
     ``distance_fn`` substitutes an exact distance when one is known.
     """
     comp = _CompiledSystem(system)
@@ -1119,19 +1126,11 @@ def verify_bound(
             anchors = oracle.feasible_pool()
 
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    n_boundary = (
-        int(plan.count * plan.boundary_fraction)
-        if anchors is not None and len(anchors) > 0
-        else 0
-    )
-    base = _stratified_box_samples(rng, plan.box, plan.count - n_boundary)
+    n_boundary = plan.count // 4 if anchors is not None and len(anchors) > 0 else 0
+    X = _stratified_box_samples(rng, plan.box, plan.count - n_boundary)
     if n_boundary:
-        near = _boundary_biased_samples(
-            rng, comp, base, np.asarray(anchors, dtype=float), n_boundary
-        )
-        X = np.vstack([base, near]) if near.size else base
-    else:
-        X = base
+        anchors = np.asarray(anchors, dtype=float)
+        X = np.vstack([X, _boundary_biased_samples(rng, comp, X, anchors, n_boundary)])
 
     alpha = float(report.alpha)
     values, grads = comp(X)
@@ -1147,7 +1146,7 @@ def verify_bound(
         X.tolist(), values.max(axis=1).tolist(), distances, slopes.tolist()
     ):
         res = max(0.0, fmax)
-        if dist > tau_dist:
+        if dist > _TAU_DIST:
             numerator = res**alpha + res if res > 0 else 0.0
             ratio = numerator / dist
             if not math.isfinite(ratio) or ratio <= 0:
@@ -1168,7 +1167,7 @@ def verify_bound(
         fitted_c=fitted,
         alpha=report.alpha,
         violations=violations,
-        tau_dist=tau_dist,
+        tau_dist=_TAU_DIST,
         seed=plan.seed,
         goodness=goodness,
     )

@@ -307,6 +307,40 @@ def test_coefficient_outside_the_float_range(command, coefficient, system_file, 
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which JSON lacks."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# Per system: the (status, method, reason) of every face whose objective
+# minimum is past the float range.  1e160 squared is: a vertex's closed-form
+# minimum is about 5e320.  Where 1e200 multiplies a face's only mixed
+# monomial, every sampled objective overflows.
+PAST_THE_FLOAT_RANGE = {
+    "f1 = 1e160*x^2 + y^2 - 1": [("nondegenerate_probable", "exact", None)],
+    "f1 = x^2 + 1e200*x*y + y^2 - 1\nf2 = x - y": [("inconclusive", "search", "overflow")],
+    "f1 = x^2 + y^2 + z^2 + 1e160*x*y*z - 1": [("nondegenerate_probable", "exact", None)]
+    + [("inconclusive", "search", "overflow")] * 3,
+}
+
+
+@pytest.mark.parametrize("text", sorted(PAST_THE_FLOAT_RANGE))
+def test_certify_json_reports_an_infinite_minimum_as_null(text, system_file, capsys):
+    # These used to exit 2 on the closed-form minimum, or to write
+    # "objective_min": Infinity and call a face with no finite evidence
+    # nondegenerate_probable.
+    code, out = _run(capsys, "certify", system_file(text), "--format", "json")
+    assert code == 0
+    payload = _strict_json(out)
+    faces = [f for f in payload["faces"] if f["objective_min"] is None]
+    assert [(f["status"], f["method"], f["reason"]) for f in faces] == PAST_THE_FLOAT_RANGE[text]
+    assert payload["status"] == ("inconclusive" if faces[-1]["reason"] else "nondegenerate_probable")
+
+
 def _assert_runs_without_scipy(script: str, *args: str) -> None:
     # scipy costs more than half a second to import and tens of MB of
     # memory, and no command needs it.

@@ -137,12 +137,9 @@ def test_gram_determinant_matches_the_old_kernel(n, p):
     for m in (1, 2, 7, 300):
         rows = _rows(rng, n, p, m)
         want = kernel_oracle._gram_determinant(rows, n)
-        assert _same_bits(_gram_determinant(rows, n), want), m
-        # The dense rows of the evaluator give the same bits.
-        dense = [np.zeros((n + p, m)) for _ in range(p)]
-        for i, (v, row) in enumerate(zip(dense, rows)):
-            v[:n], v[n + i] = row[:n], row[n]
-        assert _same_bits(_gram_determinant(dense, n), want), m
+        # The evaluator's dense rows give the oracle's bits.
+        dense = [kernel_oracle._dense_row(row, i, n, p) for i, row in enumerate(rows)]
+        assert _same_bits(_gram_determinant(dense), want), m
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -28,6 +28,7 @@ from holderbounds.nondegen import (
 from holderbounds.newton import analyze_system
 from holderbounds.polysys import parse_system
 
+import kernel_oracle
 import layout_oracle
 from conftest import DEMO_SYSTEMS, random_convenient_system
 
@@ -84,7 +85,7 @@ def test_gram_determinant_matches_point_major(n, p):
     rng = np.random.default_rng(10 * n + p)
     for m in (1, 3, 257):
         rows = _rows(rng, n, p, m)
-        got = _gram_determinant(rows, n)
+        got = _gram_determinant([kernel_oracle._dense_row(row, i, n, p) for i, row in enumerate(rows)])
         assert np.array_equal(got, layout_oracle._gram_determinant(_tensor(rows, n))), m
     # The planted zero rows must reach a zero determinant.
     assert (got == 0).any()

@@ -25,6 +25,7 @@ from holderbounds.nondegen import (
     normalized_minor_objective,
 )
 from holderbounds.polysys import Polynomial, PolySystem, parse_system
+from holderbounds.verify import DistanceConfig, DistanceOracle
 
 from conftest import DEMO_SYSTEMS, random_convenient_system
 from descent_oracle import certify_face_per_stage
@@ -400,6 +401,38 @@ def test_certify_config_rejects_bad_values(field, value):
     # negative one made every one interior.
     with pytest.raises(ValueError, match=field):
         CertifyConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("multistarts", 0),
+        ("grid_points", 0),
+        ("stall_limit", 0),
+        ("polish_iters", -1),
+        ("tau_feas", 0.0),
+        ("tau_feas", -1.0),
+        ("tau_feas", float("nan")),
+        ("tau_feas", float("inf")),
+        ("search_box", ((-1.0, float("inf")),)),
+        ("search_box", ((float("nan"), 1.0),)),
+        ("search_box", ((-1.0, 1.0), (2.0, 1.0))),
+        ("known_feasible", ((0.0, float("nan")),)),
+        ("known_feasible", ((float("-inf"), 0.0),)),
+    ],
+)
+def test_distance_config_rejects_bad_values(field, value):
+    # A NaN or negative tau_feas counted no point feasible and a grid of 0
+    # points drew none, so the oracle reported a nonempty S possibly empty.
+    with pytest.raises(ValueError, match=field):
+        DistanceConfig(**{field: value})
+
+
+def test_distance_config_accepts_edge_values():
+    cfg = DistanceConfig(
+        multistarts=1, grid_points=1, stall_limit=1, polish_iters=0, search_box=((1.0, 1.0),)
+    )
+    assert DistanceOracle(parse_system("f = x - 1"), cfg).distance((3.0,)).distance == 2.0
 
 
 def test_certify_config_accepts_edge_values():
