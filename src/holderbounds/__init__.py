@@ -16,7 +16,8 @@ Pipeline for a polynomial inequality system F = (f_1, ..., f_p):
 ``evaluator`` holds the compiled float map that ``nondegen`` and
 ``verify`` evaluate through.  Importing the package imports none of
 these: each public name loads its module on first access, so parsing and
-Newton geometry, which are exact, never load numpy.
+Newton geometry, which are exact, never load numpy.  Parsing loads
+``polysys`` alone, which imports no ``dataclasses`` or ``typing`` either.
 """
 
 import importlib

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -432,7 +433,16 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     if not cfg.out_path:
-        print(rendered)
+        try:
+            print(rendered)
+            # Flush here, so that a reader that has gone raises inside the try.
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python flushes stdout again at exit; point it at devnull so
+            # that flush has nowhere to fail (the signal module's SIGPIPE note).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

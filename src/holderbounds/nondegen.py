@@ -754,6 +754,8 @@ def _closed_form(matrix: MDeltaMatrix):
         crit = _ptrim(_padd(_pmul(_pderiv(branch), H), [-2 * c for c in _pmul(branch, _pderiv(H))]))
         # On a vertex G and H are constants and crit is zero.
         for u in _Sturm(crit).positive_roots() if crit else ():
+            if u == 0.0:
+                raise ValueOverflowError("a face's critical point lies below the floating-point range")
             # x^v = u at x = exp(log u v / |v|^2); a flipped odd
             # coordinate flips the sign of t.
             x = np.exp(math.log(u) * np.array(v) / norm2)
@@ -884,7 +886,8 @@ def _certify(
     whole call, so an objective that overflows reads inf or NaN without a
     warning.  A closed-form limit past the float range is compared
     exactly and reported as inf; a coefficient or other closed-form
-    quantity past it raises ``ValueOverflowError``.
+    quantity outside it, such as a critical point below it, raises
+    ``ValueOverflowError``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:

@@ -4,7 +4,8 @@ A polynomial is a finite map from exponent vectors (one non-negative
 integer per variable) to nonzero Fraction coefficients.  All symbolic
 work -- parsing, arithmetic, differentiation, support extraction -- is
 exact; floating point enters only when a polynomial is evaluated at a
-float point, one point at a time.  This module imports no numpy: float
+float point, one point at a time.  This module imports no numpy,
+``dataclasses`` or ``typing``, so parsing loads none of them: float
 evaluation of many points goes through ``evaluator``'s compiled map.
 
 The textual input format is line based, one definition per line::
@@ -18,15 +19,16 @@ Coefficients may be integers, decimals with an optional power of ten
 fractions ``a/b``.  Exponents, numerators and denominators are integers.
 Factors are juxtaposed with optional ``*``.  Variables are the
 identifiers that never appear on a left-hand side; their order is
-first-appearance order.
+first-appearance order.  Names (a letter or ``_``, then letters, digits
+or ``_``) and digits are ASCII: ``x²``, ``x₁`` and ``２`` are parse
+errors, not names or numbers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Rational = int | Fraction
@@ -283,23 +285,56 @@ def _default_name(j: int, nvars: int) -> str:
     return f"x{j + 1}"
 
 
-@dataclass(frozen=True)
 class PolySystem:
-    """Ordered polynomial map F = (f_1, ..., f_p) over shared variables."""
+    """Ordered polynomial map F = (f_1, ..., f_p) over shared variables.
 
-    polys: tuple[Polynomial, ...]
-    varnames: tuple[str, ...]
-    names: tuple[str, ...]
+    Immutable: assigning or deleting a field raises ``AttributeError``.
+    Equality, hashing and ``repr`` go by the three fields, as a frozen
+    dataclass's would.  The class is written out by hand because
+    importing ``dataclasses``, which loads ``inspect``, took about half
+    the time of a fresh ``import holderbounds; parse_system(...)``.
+    """
 
-    def __post_init__(self):
-        if not self.polys:
+    __slots__ = ("polys", "varnames", "names")
+
+    def __init__(self, polys: tuple[Polynomial, ...], varnames: tuple[str, ...], names: tuple[str, ...]):
+        if not polys:
             raise PolynomialError("a system needs at least one component")
-        if len(self.names) != len(self.polys):
+        if len(names) != len(polys):
             raise PolynomialError("one name per component required")
-        n = len(self.varnames)
-        for f in self.polys:
+        n = len(varnames)
+        for f in polys:
             if f.nvars != n:
                 raise PolynomialError("component variable counts disagree")
+        for field, value in zip(self.__slots__, (polys, varnames, names)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.polys, self.varnames, self.names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(polys={self.polys!r}, "
+            f"varnames={self.varnames!r}, names={self.names!r})"
+        )
+
+    def __reduce__(self):
+        # The default protocol would restore the slots by assignment.
+        return (self.__class__, self._fields())
 
     @property
     def n(self) -> int:
@@ -337,9 +372,10 @@ class PolySystem:
 
 # -- parsing -------------------------------------------------------------------
 
+# Names and digits are ASCII: Unicode \w would read x² as one name.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<op>[-+*^/=])"
+    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)|(?P<op>[-+*^/=])"
 )
 
 

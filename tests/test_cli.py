@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from holderbounds.cli import main
+from holderbounds.polysys import Polynomial
 
 from conftest import (
     DEGENERATE_PAIR_TEXT,
@@ -411,17 +412,44 @@ def test_python_dash_m_runs_the_command():
     assert json.loads(done.stdout)["status"] == "degenerate"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["analyze", "half_disk"], 0), (["certify", "degenerate_pair", "--samples", "64"], 1)],
+)
+def test_closed_stdout_exits_with_the_commands_code_and_no_traceback(argv, code):
+    # A reader that has gone, as in "holderbounds ... | head -3", gave a
+    # BrokenPipeError traceback and exit 1.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "holderbounds", argv[0], _demo(argv[1]), *argv[2:], "--format", "json"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
+
+
 def _demo(stem: str) -> str:
     return str(next(path for path in DEMO_SYSTEMS if path.stem == stem))
 
 
 def _assert_clean_exit(capsys, argv) -> int:
-    """No traceback, a documented exit code, and JSON without NaN or inf."""
+    """No traceback, a documented exit code, JSON without NaN or inf, and
+    on exit 2 alone one stderr line, an ``error:`` or ``parse error:``."""
     code = main(argv)
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2), argv
     if code != 2:
         json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the output of {argv}"))
+        assert err == "", (argv, err)
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith(("error:", "parse error:")), (argv, err)
     return code
 
 
@@ -494,6 +522,40 @@ def test_extreme_finite_flags_never_raise(tmp_path, capsys):
             argv = ["verify", str(path), "--samples", "1", "--box=" + ",".join([f"{-m}:{m}"] * system.n)]
         codes.append(_assert_clean_exit(capsys, argv + ["--format", "json"]))
     assert {0, 2} <= set(codes)
+
+
+# Past the float range either way, and past Python's 4,300-digit limit
+# on integer strings as an integer and as a denominator.
+EXTREME_LITERALS = ["1e400", "1e-400", "1" + "0" * 4300, "1/1" + "0" * 4300]
+
+
+def _with_extreme_literal(system, rng) -> str:
+    """``system.to_text()`` with one coefficient replaced by an extreme literal."""
+    i = rng.randrange(system.p)
+    f = system.polys[i]
+    kappa = rng.choice(sorted(f.terms))
+    rest = Polynomial({k: c for k, c in f.terms.items() if k != kappa}, system.n)
+    monomial = "".join(f"*{name}^{k}" for name, k in zip(system.varnames, kappa) if k)
+    term = f"{rng.choice('+-')} {rng.choice(EXTREME_LITERALS)}{monomial}"
+    lines = system.to_text().splitlines()
+    lines[i] = f"{system.names[i]} = {rest.to_string(system.varnames)} {term}"
+    return "\n".join(lines)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_literals_never_raise(tmp_path, capsys):
+    # 1e400*x^2 - y raised "math domain error": its closed-form critical
+    # point, about 1e-400, read as 0.0.
+    rng = random.Random(3)
+    texts = ["f = 1e400*x^2 - y", "f = 1e400*x^2 - y\ng = x - 1"]
+    texts += [_with_extreme_literal(random_convenient_system(rng, min_vars=1), rng) for _ in range(30)]
+    codes = set()
+    for case, text in enumerate(texts):
+        path = tmp_path / f"case{case}.poly"
+        path.write_text(text, encoding="utf-8")
+        for command in (["analyze"], ["exponent"], ["certify"], ["verify", "--samples", "1"]):
+            codes.add(_assert_clean_exit(capsys, [command[0], str(path), *command[1:], "--format", "json"]))
+    assert {0, 2} <= codes
 
 
 @pytest.mark.parametrize("name", ["quartic", "half_disk", "quadratic_bowl", "sphere_cubic"])

@@ -89,3 +89,32 @@ def test_exact_layer_never_imports_numpy():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, absent",
+    [((), ["dataclasses", "inspect", "numpy"]), (("-S",), ["dataclasses", "inspect", "numpy", "typing"])],
+    ids=["site", "no-site"],
+)
+def test_parsing_loads_no_dataclasses_inspect_or_numpy(flags, absent):
+    # The cold path that bench/run.py times as setup_s.  A .pth file in
+    # site-packages may import typing at start-up, so typing is checked
+    # only under -S, which skips the site module.
+    script = (
+        "import sys\n"
+        "import holderbounds\n"
+        "for path in sys.argv[2:]:\n"
+        "    with open(path, encoding='utf-8') as handle:\n"
+        "        holderbounds.parse_system(handle.read())\n"
+        "loaded = [name for name in sys.argv[1].split(',') if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    paths = sorted((ROOT / "demos" / "systems").glob("*.poly")) + sorted((ROOT / "bench" / "systems").glob("*.poly"))
+    assert len(paths) >= 9
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", script, ",".join(absent), *map(str, paths)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import DEMO_SYSTEMS, random_convenient_system
 from holderbounds.polysys import (
     DimensionMismatchError,
     ParseError,
     Polynomial,
+    PolynomialError,
     PolySystem,
     evaluate,
     gradient,
     parse_system,
     principal_part,
 )
+from polysystem_oracle import PolySystem as DataclassPolySystem
 
 
 def test_parse_half_disk_pair():
@@ -89,6 +94,16 @@ def test_parse_leading_minus_and_comments():
 )
 def test_parse_syntax_errors(text):
     with pytest.raises(ParseError):
+        parse_system(text)
+
+
+@pytest.mark.parametrize(
+    "text, char, column",
+    [("f = x² - 1", "²", 6), ("f = x₁ + 1", "₁", 6), ("f = x٣", "٣", 6), ("f = ２*x", "２", 5), ("f = é + 1", "é", 5)],
+)
+def test_parse_rejects_non_ascii_names_and_digits(text, char, column):
+    # Unicode \w and \d read x² as a variable named x² and ２ as 2.
+    with pytest.raises(ParseError, match=f"column {column}: unexpected character {char!r}"):
         parse_system(text)
 
 
@@ -250,3 +265,68 @@ def test_polynomial_hash_and_equality():
     assert f == g
     assert hash(f) == hash(g)
     assert f != Polynomial({(1, 0): 1}, 2)
+
+
+def _system_pairs():
+    """(hand-written, dataclass) twins of the demo systems and of random ones."""
+    systems = [parse_system(path.read_text(encoding="utf-8")) for path in DEMO_SYSTEMS]
+    rng = random.Random(5)
+    systems += [random_convenient_system(rng, max_vars=4, min_vars=1) for _ in range(10)]
+    return [(s, DataclassPolySystem(s.polys, s.varnames, s.names)) for s in systems]
+
+
+def test_polysystem_equality_hash_and_repr_match_the_dataclass():
+    pairs = _system_pairs()
+    for system, twin in pairs:
+        same = PolySystem(polys=system.polys, varnames=system.varnames, names=system.names)
+        assert system == same and not system != same
+        assert hash(system) == hash(same) == hash(twin)
+        assert repr(system) == repr(twin)
+        # Like the dataclass, the class never equals another class's instance.
+        assert system != twin and twin != system
+        assert system != (system.polys, system.varnames, system.names)
+    for (a, twin_a), (b, twin_b) in zip(pairs, pairs[1:]):
+        assert (a == b) == (twin_a == twin_b) is False
+    renamed = PolySystem(pairs[0][0].polys, pairs[0][0].varnames, ("g",) * pairs[0][0].p)
+    assert renamed != pairs[0][0]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ((), ("x",), ()),
+        ((Polynomial.variable(0, 1),), ("x",), ("f1", "f2")),
+        ((Polynomial.variable(0, 1), Polynomial.variable(0, 2)), ("x",), ("f1", "f2")),
+    ],
+    ids=["no-components", "names", "variable-counts"],
+)
+def test_polysystem_validation_matches_the_dataclass(fields):
+    with pytest.raises(PolynomialError) as expected:
+        DataclassPolySystem(*fields)
+    with pytest.raises(PolynomialError) as err:
+        PolySystem(*fields)
+    assert str(err.value) == str(expected.value)
+
+
+def test_polysystem_assignment_raises_like_the_dataclass():
+    system, twin = _system_pairs()[0]
+    for name in ("polys", "varnames", "names", "extra"):
+        for action in (lambda s: setattr(s, name, ()), lambda s: delattr(s, name)):
+            with pytest.raises(AttributeError) as expected:
+                action(twin)
+            with pytest.raises(AttributeError) as err:
+                action(system)
+            assert str(err.value) == str(expected.value)
+    assert system == parse_system(system.to_text())
+
+
+def test_polysystem_pickle_and_copy_round_trip():
+    for system, twin in _system_pairs():
+        for clone in (
+            pickle.loads(pickle.dumps(system)),
+            copy.copy(system),
+            copy.deepcopy(system),
+        ):
+            assert type(clone) is PolySystem
+            assert clone == system and hash(clone) == hash(system)
+            assert repr(clone) == repr(twin)
