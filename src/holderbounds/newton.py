@@ -14,24 +14,30 @@ Every face quantity comes from the facet table: each facet's normal,
 offset and tight mask (bit i set when generator i lies on the facet),
 checked once against every generator when the polytope is built.  A
 generator is a vertex when the facets through it meet in it alone.  The
-proper faces are the nonempty intersections of tight masks; a face's
-witness is the sum of its active facets' normals (those through it),
-its value the sum of their offsets, and its dimension k minus the rank
-of those normals.  That witness is least exactly on the face: for a
-generator u, <sum of n_f, u> = sum of <n_f, u> >= sum of o_f, with
-equality exactly on the common tight set, which must be the face's
-mask.  The face lattice is enumerated on first use
-(``all_proper_faces``, ``faces_at_infinity``) and cached, so
-``analyze_system`` enumerates only the summed polytope's, and
+face lattice is graded, so it is walked down from the facets: the faces
+of dimension d - 1 inside a face G of dimension d are the maximal proper
+intersections of G with the facets, and every face gets its dimension
+from its level.  A face's witness is the sum of its active facets'
+normals (those through it), its value the sum of their offsets.  That
+witness is least exactly on the face: for a generator u,
+<sum of n_f, u> = sum of <n_f, u> >= sum of o_f, with equality exactly
+on the common tight set, which must be the face's mask.  The lattice is
+walked on first use (``all_proper_faces``, ``faces_at_infinity``) and
+cached, so ``analyze_system`` walks only the summed polytope's, and
 ``FaceEnumerationError`` fires then, once the lattice passes the cap.
+The summand faces come from the same table: a face's part in P_i is the
+AND, over the face's active facets, of P_i's tight mask for each facet
+normal.
 
 All exact linear algebra is one fraction-free Gauss-Jordan elimination,
-``_eliminate``.  Its pivot columns give ranks (face dimensions, the
-exact rank test of ``nondegen``) and the affine basis: the first point
-differences outside the span of those before them.  Its free columns
-give primitive integer null vectors: the equations of the affine hull,
+``_eliminate``.  Its pivot columns give ranks (the exact rank test of
+``nondegen``) and the affine basis: the first point differences
+outside the span of those before them.  Its free columns give
+primitive integer null vectors: the equations of the affine hull,
 which make hull membership a few integer dot products, and the facet
-normals of the starting simplex.  The Gram solves behind hull
+normals of the starting simplex.  A full-dimensional hull is built on
+the points themselves; a lower-dimensional one on hull coordinates,
+whose facet normals are lifted back.  The Gram solves behind those
 coordinates and lifted normals keep each pivot as the denominator of
 its row, so they stay in integers too.
 
@@ -49,7 +55,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
@@ -243,6 +249,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _least_mask(points: Sequence[Exponent], q: Sequence) -> int:
+    """Bit mask of the points where <q, point> is least."""
+    values = [_dot(q, u) for u in points]
+    low = min(values)
+    return sum(1 << i for i, v in enumerate(values) if v == low)
+
+
 @dataclass(frozen=True)
 class PolytopeFace:
     support: tuple[Exponent, ...]
@@ -256,8 +269,8 @@ class NewtonPolytope:
     """Convex hull of a monomial support together with the origin.
 
     ``_tight`` holds each facet's tight mask, aligned with ``facets``: bit
-    i is set when ``points[i]`` lies on the facet.  The proper faces are
-    enumerated from this table on first use, under ``_face_cap``.
+    i is set when ``points[i]`` lies on the facet.  The face lattice is
+    walked from this table on first use, under ``_face_cap``.
     """
 
     points: tuple[Exponent, ...]
@@ -270,7 +283,7 @@ class NewtonPolytope:
     _face_cap: int = field(repr=False, compare=False)
 
     @cached_property
-    def _proper_faces(self) -> tuple[PolytopeFace, ...]:
+    def _lattice(self) -> tuple[tuple[PolytopeFace, int, tuple[int, ...]], ...]:
         return _enumerate_faces(self)
 
     def contains(self, point: Sequence) -> bool:
@@ -305,22 +318,25 @@ def _build_polytope(
             _face_cap=face_cap,
         )
 
-    coords = frame.coordinates(pts)
-    coord_facets = _hull_coord_facets(coords, k, frame.simplex)
-
-    facets = []
-    # On the hull's points <normal, u - base> is a positive multiple of
-    # <w, coordinates of u>, so both are least on the same points.
-    normals = frame.lift_normals([w for w, _ in coord_facets])
-    for normal, (_, eq_mask) in zip(normals, coord_facets):
-        values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
-        offset = min(values)
-        mask = sum(1 << i for i, v in enumerate(values) if v == offset)
-        if mask != eq_mask:
-            raise RuntimeError("facet lift mismatch; exact arithmetic invariant broken")
-        facets.append((normal, offset, eq_mask))
-    # Canonical order, independent of the order the hull inserted points.
-    facets.sort()
+    if k == len(frame.base):
+        # Full-dimensional: the points are their own coordinates, and each
+        # facet normal is the hull's coordinate normal made primitive.
+        coord_facets = _hull_coord_facets(pts, k, frame.simplex)
+        normals = [tuple(v // gcd(*w) for v in w) for w, _ in coord_facets]
+    else:
+        coord_facets = _hull_coord_facets(frame.coordinates(pts), k, frame.simplex)
+        # On the hull's points <normal, u - base> is a positive multiple of
+        # <w, coordinates of u>, so both are least on the same points.
+        normals = frame.lift_normals([w for w, _ in coord_facets])
+    # Each normal must be least exactly on its facet's tight points.
+    if any(_least_mask(pts, n) != t for n, (_, t) in zip(normals, coord_facets)):
+        raise RuntimeError("facet table mismatch; exact arithmetic invariant broken")
+    # A facet's offset is its normal's value on any tight point.  Canonical
+    # order, independent of the order the hull inserted points.
+    facets = sorted(
+        (normal, _dot(normal, pts[(tight & -tight).bit_length() - 1]), tight)
+        for normal, (_, tight) in zip(normals, coord_facets)
+    )
 
     # A point is a vertex when the facets through it meet in it alone.
     meets = [-1] * len(pts)
@@ -340,54 +356,76 @@ def _build_polytope(
     )
 
 
-def _enumerate_faces(polytope: NewtonPolytope) -> tuple[PolytopeFace, ...]:
-    """Proper faces from the facet table, closed under intersection.
+def _bits(mask: int, points: Sequence[Exponent]) -> tuple[Exponent, ...]:
+    """The points whose bits are set in ``mask``, in index order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(points[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
-    The closure starts from the facets' tight masks and the vertices'
-    singletons.  A face's witness is the sum of its active facets' normals
-    (those whose tight mask contains the face): it is least, at the sum
-    of their offsets, exactly on the AND of their tight masks, which must
-    be the face itself.  Every intersection passes that check by
-    construction; a vertex singleton passes only while the tight masks
-    still agree with the vertices found when the polytope was built.
-    Raises ``FaceEnumerationError`` past the polytope's face cap.
+
+def _enumerate_faces(
+    polytope: NewtonPolytope,
+) -> tuple[tuple[PolytopeFace, int, tuple[int, ...]], ...]:
+    """Proper faces, walked down the face lattice from the facets.
+
+    The facets are the faces of dimension k - 1.  The faces of a face G
+    are its intersections with the facets, so the faces of dimension
+    d - 1 are the maximal proper nonempty masks G & t over the faces G of
+    dimension d and the facet tight masks t; the walk needs no rank.  A
+    face's witness is the sum of its active facets' normals (those whose
+    tight mask contains the face): it is least, at the sum of their
+    offsets, exactly on the AND of their tight masks, which must be the
+    face itself.  Every mask the walk reaches passes that check by
+    construction, and the faces of dimension 0 must be the singletons of
+    the vertices found when the polytope was built: a vertex whose facets
+    meet in more than itself is not cut exactly by its witness, and the
+    walk never reaches its singleton.  Raises ``FaceEnumerationError``
+    past the polytope's face cap.  Returns (face, mask, active facets)
+    triples, the active facets as indices into ``facets``.
     """
-    if not polytope.facets:
+    tights = polytope._tight
+    if not tights:
         return ()
-    pts = polytope.points
-    table = [(n, o, t) for (n, o), t in zip(polytope.facets, polytope._tight)]
-    masks = set(polytope._tight)
-    masks.update(1 << pts.index(v) for v in polytope.vertices)
     cap = polytope._face_cap
-    queue = list(masks)
-    while queue:
-        if len(masks) > cap:
-            raise FaceEnumerationError(f"more than {cap} faces; raise the cap to proceed")
-        current = queue.pop()
-        for _, _, tight in table:
-            nxt = current & tight
-            if nxt and nxt not in masks:
-                masks.add(nxt)
-                queue.append(nxt)
+    levels = [set(tights)]
+    count = len(levels[0])
+    while count <= cap and len(levels) < polytope.dim:
+        below = set()
+        for face in levels[-1]:
+            # A cut contained in a larger cut is no facet of the face.
+            cuts = sorted({face & t for t in tights} - {face, 0}, key=int.bit_count, reverse=True)
+            kept: list[int] = []
+            for cut in cuts:
+                if all(cut & g != cut for g in kept):
+                    kept.append(cut)
+            below.update(kept)
+        count += len(below)
+        levels.append(below)
+    if count > cap:
+        raise FaceEnumerationError(f"more than {cap} faces; raise the cap to proceed")
+    pts = polytope.points
+    if levels[-1] != {1 << pts.index(v) for v in polytope.vertices}:
+        raise RuntimeError("witness normal does not cut its face exactly")
 
+    table = [(j, n, o, t) for j, ((n, o), t) in enumerate(zip(polytope.facets, tights))]
     proper = []
-    for mask in masks:
-        active = [f for f in table if mask & f[2] == mask]
-        if reduce(and_, (t for _, _, t in active), -1) != mask:
-            raise RuntimeError("witness normal does not cut its face exactly")
-        normals = [n for n, _, _ in active]
-        proper.append(
-            PolytopeFace(
-                support=tuple(p for i, p in enumerate(pts) if mask >> i & 1),
-                witness=tuple(map(sum, zip(*normals))),
-                value=sum(o for _, o, _ in active),
-                # The facets through a face of a k-polytope have normals
-                # of rank k - dim(face).
-                dim=polytope.dim - len(_eliminate(normals)[1]),
+    for dim, level in enumerate(reversed(levels)):
+        for mask in level:
+            active = [f for f in table if mask & f[3] == mask]
+            if reduce(and_, (f[3] for f in active), -1) != mask:
+                raise RuntimeError("witness normal does not cut its face exactly")
+            face = PolytopeFace(
+                support=_bits(mask, pts),
+                witness=tuple(map(sum, zip(*(f[1] for f in active)))),
+                value=sum(f[2] for f in active),
+                dim=dim,
             )
-        )
+            proper.append((face, mask, tuple(f[0] for f in active)))
     # Supports are in graded-lex order, as the points are.
-    proper.sort(key=lambda f: (f.dim, f.support))
+    proper.sort(key=lambda entry: (entry[0].dim, entry[0].support))
     return tuple(proper)
 
 
@@ -458,9 +496,7 @@ def min_support(polytope: NewtonPolytope, q: Sequence) -> Rational:
 def min_face(polytope: NewtonPolytope, q: Sequence) -> tuple[Exponent, ...]:
     """Generator points of the face of P selected by the direction q."""
     q = [a if isinstance(a, int) else Fraction(a) for a in q]
-    values = [_dot(q, p) for p in polytope.points]
-    low = min(values)
-    return tuple(p for p, v in zip(polytope.points, values) if v == low)
+    return _bits(_least_mask(polytope.points, q), polytope.points)
 
 
 @dataclass(frozen=True)
@@ -477,7 +513,18 @@ class FaceAtInfinity:
 
 def all_proper_faces(polytope: NewtonPolytope) -> tuple[PolytopeFace, ...]:
     """Every proper face (any dimension), with witness normal and value."""
-    return polytope._proper_faces
+    return tuple(face for face, _, _ in polytope._lattice)
+
+
+def _lattice_at_infinity(polytope: NewtonPolytope):
+    """(face, vertices, active facets) of each proper face avoiding the origin."""
+    pts = polytope.points
+    origin = (0,) * polytope.nvars
+    origin_bit = 1 if pts[0] == origin else 0  # graded-lex order puts it first
+    vertex_bits = sum(1 << pts.index(v) for v in polytope.vertices)
+    for face, mask, active in polytope._lattice:
+        if not mask & origin_bit:
+            yield face, _bits(mask & vertex_bits, pts), active
 
 
 def faces_at_infinity(polytope: NewtonPolytope) -> tuple[FaceAtInfinity, ...]:
@@ -486,45 +533,31 @@ def faces_at_infinity(polytope: NewtonPolytope) -> tuple[FaceAtInfinity, ...]:
     Output is deduplicated by support set and ordered by dimension then
     graded-lex support, so it is deterministic.
     """
-    origin = (0,) * polytope.nvars
-    vertex_set = set(polytope.vertices)
-    out = []
-    for face in polytope._proper_faces:
-        if origin in face.support:
-            continue
-        out.append(
-            FaceAtInfinity(
-                support_points=face.support,
-                vertices=tuple(
-                    p for p in face.support if p in vertex_set
-                ),
-                witness_normal=face.witness,
-                value=face.value,
-                dim=face.dim,
-            )
-        )
-    return tuple(out)
+    return tuple(
+        FaceAtInfinity(face.support, vertices, face.witness, face.value, face.dim)
+        for face, vertices, _ in _lattice_at_infinity(polytope)
+    )
 
 
-def decompose_face(
-    face: FaceAtInfinity, polytopes: Sequence[NewtonPolytope]
-) -> tuple[tuple[Exponent, ...], ...]:
-    """Split a face F of P = P_1 + ... + P_p into its unique summand faces.
+def _check_summands(
+    q: Sequence[int],
+    support: Sequence[Exponent],
+    vertices: Sequence[Exponent],
+    parts: Sequence[Sequence[Exponent]],
+) -> None:
+    """Raise ``DecompositionError`` unless ``parts`` sum to the face ``support``.
 
-    Uses the face's witness direction q: the i-th component face is the
-    set of generators of P_i minimizing q.  The result is checked
-    exactly, without building a hull: F must lie on the hyperplane
-    where q attains its minimum over P, every vertex of F must be a sum
-    of component-face points, and every such sum must lie in aff(F).
-    That suffices: each sum is a point of P on the minimizing hyperplane,
-    so a sum inside aff(F) lies in P ∩ aff(F) = F (F is a face of P);
-    the sums then span a polytope inside F that contains every vertex of
-    F, which is F itself.
+    ``q`` is the face's witness.  The check is exact and builds no hull:
+    the face must lie on the hyperplane where q attains its minimum over
+    P, every vertex of the face must be a sum of part points, and every
+    such sum must lie in the face's affine hull.  That suffices: each
+    sum is a point of P on the minimizing hyperplane, so a sum inside
+    aff(F) lies in P ∩ aff(F) = F (F is a face of P); the sums then span
+    a polytope inside F that contains every vertex of F, which is F
+    itself.
     """
-    q = face.witness_normal
-    parts = [min_face(p, q) for p in polytopes]
     total = sum(_dot(q, part[0]) for part in parts)
-    for kappa in face.support_points:
+    for kappa in support:
         if _dot(q, kappa) != total:
             raise DecompositionError(
                 "witness normal does not support the face on the summed polytope"
@@ -534,12 +567,27 @@ def decompose_face(
         for combo in itertools.product(*parts)
     }
     # A support point of F lies in aff(F); only the other sums need a frame.
-    outside = sums.difference(face.support_points)
-    if not sums.issuperset(face.vertices) or (
-        outside and not all(map(_AffineFrame(face.support_points).spans, outside))
+    outside = sums.difference(support)
+    if not sums.issuperset(vertices) or (
+        outside and not all(map(_AffineFrame(support).spans, outside))
     ):
         raise DecompositionError("component faces do not sum back to the face")
-    return tuple(parts)
+
+
+def decompose_face(
+    face: FaceAtInfinity, polytopes: Sequence[NewtonPolytope]
+) -> tuple[tuple[Exponent, ...], ...]:
+    """Split a face F of P = P_1 + ... + P_p into its unique summand faces.
+
+    Uses the face's witness direction q: the i-th component face is the
+    set of generators of P_i minimizing q.  The result passes the exact
+    check of ``_check_summands``.  ``analyze_system`` finds the same
+    parts from the facet table instead, for every face at once.
+    """
+    q = face.witness_normal
+    parts = tuple(min_face(p, q) for p in polytopes)
+    _check_summands(q, face.support_points, face.vertices, parts)
+    return parts
 
 
 # -- whole-system geometry ---------------------------------------------------------
@@ -562,7 +610,18 @@ class SystemGeometry:
 def analyze_system(
     system: PolySystem, face_cap: int = DEFAULT_FACE_CAP
 ) -> SystemGeometry:
-    """Polytopes, convenience, Minkowski sum, and decomposed faces at infinity."""
+    """Polytopes, convenience, Minkowski sum, and decomposed faces at infinity.
+
+    A face's summand faces come from the facet table, not from a search
+    per face: for each facet normal n_t of the sum, P_i's tight mask (the
+    generators where n_t is least on P_i) is computed once, and the part
+    in P_i of a face is the AND of those masks over the face's active
+    facets.  That is ``min_face(P_i, q)`` for the witness q, the sum of
+    the active normals: every vertex of the face is a sum of component
+    vertices that each minimize every active normal, so the AND is
+    nonempty, and on it q attains the sum of the least values.  Each
+    face passes the exact check ``decompose_face`` runs.
+    """
     for name, f in zip(system.names, system.polys):
         if f.is_zero:
             raise ZeroPolynomialError(
@@ -571,11 +630,22 @@ def analyze_system(
     polytopes = tuple(newton_polytope(f, face_cap) for f in system.polys)
     convenience = tuple(is_convenient(f) for f in system.polys)
     sum_polytope = minkowski_sum(polytopes, face_cap)
-    faces = tuple(
-        replace(face, decomposition=decompose_face(face, polytopes))
-        for face in faces_at_infinity(sum_polytope)
-    )
-    return SystemGeometry(polytopes, convenience, sum_polytope, faces)
+    tables = [
+        (P.points, [_least_mask(P.points, normal) for normal, _ in sum_polytope.facets])
+        for P in polytopes
+    ]
+    faces = []
+    for face, vertices, active in _lattice_at_infinity(sum_polytope):
+        parts = [
+            _bits(reduce(and_, (masks[j] for j in active)), points) for points, masks in tables
+        ]
+        _check_summands(face.witness, face.support, vertices, parts)
+        faces.append(
+            FaceAtInfinity(
+                face.support, vertices, face.witness, face.value, face.dim, tuple(parts)
+            )
+        )
+    return SystemGeometry(polytopes, convenience, sum_polytope, tuple(faces))
 
 
 def face_to_json(face: FaceAtInfinity) -> dict:

@@ -4,10 +4,12 @@
 moved to the double-description hull.  It tries every hyperplane through
 k of the m points (C(m, k) cofactor normals) and keeps those with every
 point on one side, so it follows the definition of a facet with no
-algorithm in between.  ``decompose_face_by_hull_rebuild`` is the old
-``decompose_face`` check, which rebuilds the hull of the summed component
-faces and of the face and compares their vertices.  Tests compare the
-library against both.
+algorithm in between.  Where the coordinates fit int64 it tries the
+candidates in batches, all cofactors of a batch at once; tests check the
+batches against the one-at-a-time search and its Bareiss minors.
+``decompose_face_by_hull_rebuild`` is the old ``decompose_face`` check,
+which rebuilds the hull of the summed component faces and of the face
+and compares their vertices.  Tests compare the library against both.
 
 ``IncrementalAffineFrame`` is the affine frame ``newton`` used before its
 one elimination helper took over: it reduces each new point difference
@@ -22,6 +24,10 @@ facets with it.
 before it derived faces from the facet table alone: it recomputes every
 facet's tight mask, closes them under intersection, and checks each
 face's witness by its dot product with every generator.
+``proper_faces_by_closure`` is the one that followed it, before the
+lattice walk: it closes the facet table's tight masks and the vertex
+singletons under intersection and takes each face's dimension from one
+``_eliminate`` rank of its active facet normals.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, gcd, lcm
+from operator import and_
 from typing import Sequence
 from unittest import mock
 
@@ -48,6 +56,8 @@ from holderbounds.newton import (
 from holderbounds.polysys import grlex_key
 
 CANDIDATE_CAP = 5_000_000
+# Entries of one batch's (candidates, points) value matrix.
+BATCH_ENTRIES = 1 << 20
 
 
 def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -174,7 +184,14 @@ class IncrementalAffineFrame:
 
 
 def enumerate_coord_facets(coords: list[tuple[int, ...]], k: int):
-    """All facets of conv(coords) in Z^k: list of (coord normal, equality mask)."""
+    """All facets of conv(coords) in Z^k: list of (coord normal, equality mask).
+
+    Candidates run in ``itertools.combinations`` order, and each facet is
+    kept with the normal of the first candidate that spans it.  Under
+    ``coords_fit_int64`` the candidates are tried in batches in int64
+    (``coord_facets_batched``), otherwise one at a time in Python
+    integers (``coord_facets_one_by_one``); both give the same list.
+    """
     m = len(coords)
     if k == 1:
         vals = [c[0] for c in coords]
@@ -187,13 +204,20 @@ def enumerate_coord_facets(coords: list[tuple[int, ...]], k: int):
         raise FaceEnumerationError(
             f"facet search over C({m},{k}) candidate hyperplanes exceeds the cap"
         )
+    if coords_fit_int64(coords, k):
+        return coord_facets_batched(coords, k)
+    return coord_facets_one_by_one(coords, k)
 
-    use_numpy = coords_fit_int64(coords, k)
-    pts_np = np.asarray(coords, dtype=np.int64) if use_numpy else None
 
+def coord_facets_one_by_one(coords: list[tuple[int, ...]], k: int):
+    """The candidate search one hyperplane at a time, in Python integers (k >= 2).
+
+    A candidate inside a facet found earlier is skipped: its hyperplane
+    is that facet's, or it spans none.
+    """
     facets: list[tuple[tuple[int, ...], int]] = []
     facet_masks: list[int] = []
-    for combo in itertools.combinations(range(m), k):
+    for combo in itertools.combinations(range(len(coords)), k):
         combo_mask = sum(1 << i for i in combo)
         if any(combo_mask & fm == combo_mask for fm in facet_masks):
             continue
@@ -204,29 +228,75 @@ def enumerate_coord_facets(coords: list[tuple[int, ...]], k: int):
         w = _hyperplane_normal(diffs, k)
         if w is None:
             continue
-        if use_numpy:
-            s = pts_np @ np.asarray(w, dtype=np.int64)
-            s = s - int(np.dot(base, w))
-            smin, smax = int(s.min()), int(s.max())
-        else:
-            offs = sum(b * wv for b, wv in zip(base, w))
-            svals = [sum(c * wv for c, wv in zip(pt, w)) - offs for pt in coords]
-            smin, smax = min(svals), max(svals)
-        if smin == 0:
+        offs = sum(b * wv for b, wv in zip(base, w))
+        svals = [sum(c * wv for c, wv in zip(pt, w)) - offs for pt in coords]
+        if min(svals) == 0:
             normal = w
-        elif smax == 0:
+        elif max(svals) == 0:
             normal = tuple(-v for v in w)
         else:
             continue
-        if use_numpy:
-            sel = s == (smin if smin == 0 else smax)
-            eq_mask = sum(1 << int(i) for i in np.flatnonzero(sel))
-        else:
-            target = smin if smin == 0 else smax
-            eq_mask = sum(1 << i for i, v in enumerate(svals) if v == target)
+        eq_mask = sum(1 << i for i, v in enumerate(svals) if v == 0)
         facets.append((normal, eq_mask))
         facet_masks.append(eq_mask)
     return facets
+
+
+def _det_int64(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square int64 matrices, by Laplace expansion."""
+    r = a.shape[1]
+    if r == 1:
+        return a[:, 0, 0]
+    rest = a[:, 1:]
+    return sum(
+        (-1) ** j * a[:, 0, j] * _det_int64(np.delete(rest, j, axis=2)) for j in range(r)
+    )
+
+
+def cofactor_normals(points: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """``_hyperplane_normal`` of every candidate at once, in int64 (zero rows for None).
+
+    ``points`` is (m, k) and ``combos`` (N, k) indices into it; row r is
+    the cofactor normal of the k - 1 differences from ``combos[r, 0]``.
+    Exact while ``coords_fit_int64`` holds.
+    """
+    diffs = points[combos[:, 1:]] - points[combos[:, :1]]
+    k = points.shape[1]
+    return np.stack(
+        [(-1) ** j * _det_int64(np.delete(diffs, j, axis=2)) for j in range(k)], axis=1
+    )
+
+
+def coord_facets_batched(coords: list[tuple[int, ...]], k: int):
+    """The candidate search in int64 batches of candidates (k >= 2).
+
+    Every candidate's values at every point come from one product per
+    batch; a facet is kept from the first candidate that spans it, which
+    is the candidate the one-at-a-time search keeps.  Needs
+    ``coords_fit_int64``: a cofactor is at most (k - 1)! (2 big)^(k - 1)
+    and a value at most k big times that.
+    """
+    points = np.asarray(coords, dtype=np.int64)
+    candidates = itertools.combinations(range(len(coords)), k)
+    batch = max(1, BATCH_ENTRIES // len(coords))
+    facets: list[tuple[tuple[int, ...], int]] = []
+    seen: set[int] = set()
+    while True:
+        combos = np.array(list(itertools.islice(candidates, batch)), dtype=np.intp)
+        if not len(combos):
+            return facets
+        w = cofactor_normals(points, combos)
+        s = w @ points.T - (w * points[combos[:, 0]]).sum(axis=1, keepdims=True)
+        lo, hi = s.min(axis=1), s.max(axis=1)
+        rows = np.flatnonzero(w.any(axis=1) & ((lo == 0) | (hi == 0)))
+        # The first candidate of each tight set, in candidate order.
+        _, first = np.unique(s[rows] == 0, axis=0, return_index=True)
+        for row in rows[np.sort(first)]:
+            eq_mask = sum(1 << int(i) for i in np.flatnonzero(s[row] == 0))
+            if eq_mask not in seen:
+                seen.add(eq_mask)
+                sign = 1 if lo[row] == 0 else -1
+                facets.append((tuple(sign * int(v) for v in w[row]), eq_mask))
 
 
 def coords_fit_int64(coords, k) -> bool:
@@ -323,3 +393,48 @@ def facets_by_incremental_frame(points) -> tuple:
         normal = frame.lift_normal(w)
         facets.append((normal, min(sum(a * b for a, b in zip(normal, p)) for p in points)))
     return tuple(sorted(facets))
+
+
+def proper_faces_by_closure(polytope) -> tuple[PolytopeFace, ...]:
+    """Every proper face, the facet table's masks closed under intersection.
+
+    The closure starts from the facets' tight masks and the vertices'
+    singletons.  A face's dimension is k minus the rank of its active
+    facets' normals.  Raises ``FaceEnumerationError`` past the polytope's
+    face cap, and ``RuntimeError`` when a face's active tight masks meet
+    in more than the face.
+    """
+    if not polytope.facets:
+        return ()
+    pts = polytope.points
+    table = [(n, o, t) for (n, o), t in zip(polytope.facets, polytope._tight)]
+    masks = set(polytope._tight)
+    masks.update(1 << pts.index(v) for v in polytope.vertices)
+    cap = polytope._face_cap
+    queue = list(masks)
+    while queue:
+        if len(masks) > cap:
+            raise FaceEnumerationError(f"more than {cap} faces; raise the cap to proceed")
+        current = queue.pop()
+        for _, _, tight in table:
+            nxt = current & tight
+            if nxt and nxt not in masks:
+                masks.add(nxt)
+                queue.append(nxt)
+
+    proper = []
+    for mask in masks:
+        active = [f for f in table if mask & f[2] == mask]
+        if reduce(and_, (t for _, _, t in active), -1) != mask:
+            raise RuntimeError("witness normal does not cut its face exactly")
+        normals = [n for n, _, _ in active]
+        proper.append(
+            PolytopeFace(
+                support=tuple(p for i, p in enumerate(pts) if mask >> i & 1),
+                witness=tuple(map(sum, zip(*normals))),
+                value=sum(o for _, o, _ in active),
+                dim=polytope.dim - len(_eliminate(normals)[1]),
+            )
+        )
+    proper.sort(key=lambda f: (f.dim, f.support))
+    return tuple(proper)

@@ -1,9 +1,11 @@
 """The double-description hull, the face lattice and the decomposition check.
 
 Each is compared against the code it replaced, kept in ``hull_oracle.py``:
-the brute-force facet search, the face enumeration that checks every
-witness against every generator, and the check that rebuilds two hulls
-per face.
+the brute-force facet search, the face enumerations that check every
+witness against every generator and that close the tight masks under
+intersection, and the check that rebuilds two hulls per face.
+``analyze_system``'s summand faces from tight masks are compared against
+``decompose_face``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from holderbounds import newton
@@ -35,12 +38,19 @@ from holderbounds.newton import (
 )
 from holderbounds.polysys import parse_system
 
+import hull_oracle
 from conftest import random_convenient_system
 from hull_oracle import (
     IncrementalAffineFrame,
+    _hyperplane_normal,
     brute_force_hull,
+    cofactor_normals,
+    coord_facets_batched,
+    coord_facets_one_by_one,
+    coords_fit_int64,
     decompose_face_by_hull_rebuild,
     facets_by_incremental_frame,
+    proper_faces_by_closure,
     proper_faces_by_dot_products,
     vertices_by_dot_products,
 )
@@ -141,6 +151,92 @@ def test_lattice_matches_dot_product_oracle():
     assert len(DEMO_SYSTEMS) >= 6 and len(BENCH_SYSTEMS) >= 3
 
 
+def test_lattice_walk_matches_closure_oracle():
+    capped = 0
+    for name, system in _lattice_systems():
+        parts = [newton_polytope(f) for f in system.polys]
+        for P in (*parts, minkowski_sum(parts)):
+            faces = all_proper_faces(P)
+            assert faces == proper_faces_by_closure(P), name
+            if not faces:
+                continue
+            # The cap is the number of faces either may hold.
+            for enumerate_faces in (all_proper_faces, proper_faces_by_closure):
+                with pytest.raises(FaceEnumerationError):
+                    enumerate_faces(replace(P, _face_cap=len(faces) - 1))
+                assert enumerate_faces(replace(P, _face_cap=len(faces))) == faces, name
+            capped += 1
+    assert capped > 100
+
+
+def _decomposition_systems():
+    for path in DEMO_SYSTEMS + BENCH_SYSTEMS:
+        yield path.name, parse_system(path.read_text())
+    yield "scale", parse_system(SCALE_TEXT)
+    # (1, 1) is a generator of f1 but no vertex, as in
+    # test_decompose_frame_path_matches_hull_rebuild.
+    yield "non-vertex generator", parse_system("f1 = x^2 + x*y + y^2 + 1\nf2 = x^2 + y^2 + 1")
+    for seed in range(40):
+        rng = random.Random(2000 + seed)
+        yield f"seed {seed}", random_convenient_system(rng, max_vars=4, max_polys=3)
+
+
+def test_tight_mask_decompositions_match_decompose_face():
+    counts = set()
+    for name, system in _decomposition_systems():
+        geometry = analyze_system(system)
+        bare = tuple(replace(face, decomposition=None) for face in geometry.faces)
+        assert bare == faces_at_infinity(geometry.sum_polytope), name
+        for face in geometry.faces:
+            assert face.decomposition == decompose_face(face, geometry.polytopes), name
+        counts.add(system.p)
+    assert counts == {1, 2, 3}
+
+
+def _candidate_coords():
+    """Hull coordinates of demo, bench and random polytopes, then random integer points."""
+    systems = [parse_system(path.read_text()) for path in DEMO_SYSTEMS + BENCH_SYSTEMS]
+    for seed in range(6):
+        systems.append(random_convenient_system(random.Random(seed), max_vars=4, max_polys=2))
+    for system in systems:
+        parts = [newton_polytope(f) for f in system.polys]
+        for P in (*parts, minkowski_sum(parts)):
+            frame = _AffineFrame(list(P.points))
+            if frame.dim >= 2:
+                yield frame.coordinates(P.points), frame.dim
+    rng = random.Random(0)
+    for k in range(2, 6):
+        for big in (3, 1000):
+            yield [tuple(rng.randint(-big, big) for _ in range(k)) for _ in range(k + 6)], k
+
+
+def test_cofactor_normals_match_bareiss_minors():
+    rng = random.Random(7)
+    checked = 0
+    for coords, k in _candidate_coords():
+        assert coords_fit_int64(coords, k)
+        combos = [rng.sample(range(len(coords)), k) for _ in range(40)]
+        normals = cofactor_normals(np.asarray(coords, dtype=np.int64), np.array(combos))
+        for combo, row in zip(combos, normals.tolist()):
+            base = coords[combo[0]]
+            diffs = [[a - b for a, b in zip(coords[i], base)] for i in combo[1:]]
+            assert tuple(row) == (_hyperplane_normal(diffs, k) or (0,) * k), (coords, combo)
+            checked += 1
+    assert checked > 1000
+
+
+def test_batched_facet_search_matches_one_by_one(monkeypatch):
+    # A few candidates per batch, so facets also repeat across batches.
+    monkeypatch.setattr(hull_oracle, "BATCH_ENTRIES", 64)
+    searched = 0
+    for coords, k in _candidate_coords():
+        if comb(len(coords), k) > 3000:
+            continue
+        assert coord_facets_batched(coords, k) == coord_facets_one_by_one(coords, k)
+        searched += 1
+    assert searched > 30
+
+
 def test_corrupted_tight_mask_fails_the_face_cut_check():
     # Moving a vertex onto or off a facet leaves some vertex whose facets
     # no longer meet in it alone.
@@ -157,6 +253,31 @@ def test_corrupted_tight_mask_fails_the_face_cut_check():
                     all_proper_faces(corrupted)
                 flips += 1
     assert flips > 50
+
+
+def test_corrupted_hull_mask_fails_the_build_check(monkeypatch):
+    # Both hull paths, full-dimensional and flat, check every facet's
+    # tight mask against every generator.
+    hull = newton._hull_coord_facets
+    flips = 0
+    for text in (DEMO_SYSTEMS[0].read_text(), "f1 = x*y + x^2*y^2", "f1 = x*y + x*z\nf2 = y*z"):
+        system = parse_system(text)
+        P = minkowski_sum([newton_polytope(f) for f in system.polys])
+        for f in range(len(P.facets)):
+            for i in range(len(P.points)):
+
+                def corrupted(*args, f=f, i=i):
+                    facets = hull(*args)
+                    w, tight = facets[f]
+                    facets[f] = (w, tight ^ 1 << i)
+                    return facets
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(newton, "_hull_coord_facets", corrupted)
+                    with pytest.raises(RuntimeError, match="facet table mismatch"):
+                        _build_polytope(P.points, system.n)
+                flips += 1
+    assert flips > 20
 
 
 def test_analyze_system_enumerates_no_component_lattice():
