@@ -429,6 +429,9 @@ def main(argv=None) -> int:
         FaceEnumerationError,
         FeasibleSetEmptyError,
         ValueOverflowError,
+        # numpy raises these for an array size it cannot hold, such as --samples 10**30.
+        OverflowError,
+        MemoryError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,14 +51,13 @@ alone, as G(t) / H(|t|)^2 with G = det(R R^T) in Q[t] and H the product
 of the row gauges' unit-coefficient sums (see ``_edge_polynomials``).
 The rank drops on the torus exactly where G has a real root t != 0, and a
 Sturm count of G and of G(-t) on (0, inf) rules that out.  Then the
-minimum is the least of G's limits at 0 and infinity and of the
-objective at the critical points of G / H^2, found as positive roots of
-G'H - 2GH' and evaluated by the same rank test at a torus point on their
-orbit.  A face decided so whose minimum exceeds 10 tau_zero is reported
-"nondegenerate_probable" with ``method`` "exact" and no samples.  Every
-other face (dimension 2 or more, a vanishing principal part, a real root
-of G, or a minimum at most 10 tau_zero) goes to the search under its own
-index, so it draws the stream and gets the certificate it would alone.
+minimum is the least of G's limits at 0 and infinity and of G / H^2 at
+its critical points, the positive roots of G'H - 2GH', in ``Fraction``s.
+A face decided so is "nondegenerate_probable" with ``method`` "exact"
+and no samples, whatever its minimum.  Every other face (dimension 2 or
+more, a vanishing principal part or a real root of G) goes to the search
+under its own index, so it draws the stream and gets the certificate it
+would alone.
 
 A reported "degenerate" verdict comes with a witness point; when the
 witness rounds to a nearby rational point at which the matrix drops rank
@@ -66,15 +65,16 @@ in exact arithmetic the verdict is exact, otherwise it is numerical with
 the achieved objective.  A "nondegenerate_probable" verdict from the
 search is evidence, not proof: sampling plus local descent, never a
 positivity certificate.  An exact one rests on an exact Sturm count; its
-minimum is a float, inf where it lies past the float range.  A searched
-face whose every sample's objective overflowed is "inconclusive" with
-reason "overflow".
+minimum is rounded to a float, inf past the float range and 0.0 below
+it.  A searched face whose every sample's objective overflowed is
+"inconclusive" with reason "overflow".
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -726,19 +726,18 @@ def _edge_polynomials(matrix: MDeltaMatrix):
     return _pdet([[_pdot(r, s) for s in rows] for r in rows]), H, v
 
 
-def _closed_form(matrix: MDeltaMatrix):
-    """(limit, points) on a face of dimension 0 or 1 whose objective G / H^2
-    has no zero on the torus, else None: the face is left to the search.
-
-    ``limit`` is the least of the objective's limits at t -> 0 and
-    t -> inf, exact, and ``points`` (one per column) are torus points on the
-    orbits of its critical points: t = +u or -u, for each root u > 0 of
-    G'H - 2GH' with G(t) or G(-t) in the place of G.
+def _closed_form(matrix: MDeltaMatrix) -> Fraction | None:
+    """The exact minimum of the objective G / H^2 on a face of dimension 0
+    or 1 where it has no zero on the torus, else None (left to the search):
+    the least of its limits G[0] and G[-1] at t -> 0 and inf and of
+    G(+-u) / H(u)^2 at each root u > 0 of G'H - 2GH', G(-t) standing for
+    G(t) at -u.  Each u is read exactly from its double; the objective is
+    flat there, so a root error of d moves the value by O(d^2).
     """
     data = _edge_polynomials(matrix)
     if data is None:
         return None
-    G, H, v = data
+    G, H, _ = data
     # A primitive v has an odd entry, so t = x^v takes both signs.
     mirrored = [-c if k % 2 else c for k, c in enumerate(G)]
     if _Sturm(G).positive_count() or _Sturm(mirrored).positive_count():
@@ -746,22 +745,24 @@ def _closed_form(matrix: MDeltaMatrix):
     # H has unit constant and leading coefficients, and deg G = 2 deg H:
     # as t -> 0 or inf the matrix tends to that of an end vertex of the
     # edge, which has full rank.
-    limit = min(G[0], G[-1])
-    norm2 = sum(c * c for c in v)
-    odd = next((j for j, c in enumerate(v) if c % 2), None)
-    points = []
-    for sign, branch in ((1, G), (-1, mirrored)):
+    minimum = min(G[0], G[-1])
+    for branch in (G, mirrored):
         crit = _ptrim(_padd(_pmul(_pderiv(branch), H), [-2 * c for c in _pmul(branch, _pderiv(H))]))
         # On a vertex G and H are constants and crit is zero.
         for u in _Sturm(crit).positive_roots() if crit else ():
-            if u == 0.0:
+            # A subnormal or zero double holds too few bits of the root.
+            if u < sys.float_info.min:
                 raise ValueOverflowError("a face's critical point lies below the floating-point range")
-            # x^v = u at x = exp(log u v / |v|^2); a flipped odd
-            # coordinate flips the sign of t.
-            x = np.exp(math.log(u) * np.array(v) / norm2)
-            x[odd] *= sign
-            points.append(x)
-    return limit, np.array(points, dtype=float).reshape(-1, matrix.n).T
+            u = Fraction(u)
+            minimum = min(minimum, _horner(branch, u) / _horner(H, u) ** 2)
+    return minimum
+
+
+def _horner(poly: list, t: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(poly):
+        value = value * t + c
+    return value
 
 
 def _certify_faces(
@@ -877,49 +878,42 @@ def _certify(
 ) -> list[FaceCertificate]:
     """Decide faces of dimension 0 and 1 in closed form, search the rest.
 
-    A face whose closed-form minimum exceeds 10 tau_zero is
-    ``nondegenerate_probable`` with no samples.  Every other face goes to
-    ``_certify_faces`` under its own index, so it draws its own stream and
-    gets the certificate it gets when searched alone.
+    A face decided in closed form is ``nondegenerate_probable`` with no
+    samples, whatever its minimum, since a Sturm count proved that the rank
+    never drops on it; ``tau_zero`` plays no part.  Every other face goes
+    to ``_certify_faces`` under its own index, so it draws its own stream
+    and gets the certificate it gets when searched alone.
 
     numpy's overflow, division and invalid-value warnings are off for the
-    whole call, so an objective that overflows reads inf or NaN without a
-    warning.  A closed-form limit past the float range is compared
-    exactly and reported as inf; a coefficient or other closed-form
-    quantity outside it, such as a critical point below it, raises
-    ``ValueOverflowError``.
+    search, so an objective that overflows reads inf or NaN without a
+    warning.  An exact minimum past the float range is reported as inf,
+    one below it as 0.0; a critical point below it, or a root bound above
+    it, raises ``ValueOverflowError``.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    try:
+        minima = {k: low for k, m in enumerate(matrices) if (low := _closed_form(m)) is not None}
+    except OverflowError:
+        message = "a face's closed-form objective lies outside the floating-point range"
+        raise ValueOverflowError(message) from None
+    certificates = {}
+    for k, minimum in minima.items():
         try:
-            forms = {k: form for k, m in enumerate(matrices) if (form := _closed_form(m)) is not None}
+            reported = float(minimum)
         except OverflowError:
-            message = "a face's closed-form objective lies outside the floating-point range"
-            raise ValueOverflowError(message) from None
-        certificates = {}
-        if forms:
-            points = [form[1] for form in forms.values()]
-            owner = np.repeat(np.arange(len(forms)), [x.shape[1] for x in points])
-            values = _RankTest([matrices[k] for k in forms]).normalized(np.hstack(points), owner)
-            for slot, (k, (limit, _)) in enumerate(forms.items()):
-                try:
-                    reported = float(limit)
-                except OverflowError:
-                    reported = math.inf
-                # A NaN value fails the test below and sends the face to the search.
-                value = float(np.min(values[owner == slot], initial=reported))
-                if limit > 10 * cfg.tau_zero and value > 10 * cfg.tau_zero:
-                    certificates[k] = FaceCertificate(
-                        face_index=indices[k],
-                        support=matrices[k].face.support_points,
-                        status="nondegenerate_probable",
-                        objective_min=value,
-                        witness=None,
-                        witness_exact=None,
-                        samples=0,
-                        seed=cfg.seed,
-                        method="exact",
-                    )
-        rest = [k for k in range(len(matrices)) if k not in certificates]
+            reported = math.inf
+        certificates[k] = FaceCertificate(
+            face_index=indices[k],
+            support=matrices[k].face.support_points,
+            status="nondegenerate_probable",
+            objective_min=reported,
+            witness=None,
+            witness_exact=None,
+            samples=0,
+            seed=cfg.seed,
+            method="exact",
+        )
+    rest = [k for k in range(len(matrices)) if k not in certificates]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         searched = _certify_faces([matrices[k] for k in rest], [indices[k] for k in rest], cfg)
     certificates.update(zip(rest, searched))
     return [certificates[k] for k in range(len(matrices))]

@@ -281,6 +281,15 @@ def test_bad_input_exits_two_with_error_line(argv, system_file, tmp_path, capsys
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [("verify", HALF_DISK_TEXT), ("certify", DEGENERATE_PAIR_TEXT)])
+def test_huge_sample_count_exits_two_with_one_error_line(command, text, system_file, capsys):
+    # numpy refuses an array of 10**30 samples before it allocates any;
+    # that used to print an OverflowError traceback and exit 1.
+    code = main([command, system_file(text), "--samples", str(10**30)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("text", ["f1 = 1", "f1 = -1", "f1 = 0"])
 @pytest.mark.parametrize("command", ["analyze", "certify", "exponent", "verify", "slope", "quadratic"])
 def test_system_without_variables_exits_cleanly(command, text, system_file, capsys):
@@ -297,15 +306,23 @@ OUT_OF_RANGE = {"exponent": "f1 = 1e400*x^2 + y^2 - 1", "literal": f"f1 = 1{'0' 
 @pytest.mark.parametrize("coefficient", sorted(OUT_OF_RANGE))
 @pytest.mark.parametrize("command", ["analyze", "exponent", "certify", "verify", "slope", "quadratic"])
 def test_coefficient_outside_the_float_range(command, coefficient, system_file, capsys):
-    # Exact geometry and exponents need no floats; every float command
-    # reports the coefficient in one error line.
+    # Exact geometry and exponents need no floats, and neither does
+    # certify on a system whose every face is decided in closed form;
+    # every other float command reports the coefficient in one error line.
     code = main([command, system_file(OUT_OF_RANGE[coefficient]), "--samples", "5", "--point=1,1"])
     err = capsys.readouterr().err
-    if command in ("analyze", "exponent"):
+    if command in ("analyze", "exponent", "certify"):
         assert code == 0 and err == ""
     else:
         assert code == 2 and "Traceback" not in err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_coefficient_outside_the_float_range_on_a_searched_face(system_file, capsys):
+    # The 2-dimensional face is searched, and the search evaluates floats.
+    code = main(["certify", system_file("f1 = 1e400*x^2 + y^2 + z^2 - 1"), "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def _strict_json(text: str):
@@ -319,11 +336,14 @@ def _strict_json(text: str):
 
 # Per system: the (status, method, reason) of every face whose objective
 # minimum is past the float range.  1e160 squared is: a vertex's closed-form
-# minimum is about 5e320.  Where 1e200 multiplies a face's only mixed
-# monomial, every sampled objective overflows.
+# minimum is about 5e320, and 1e400's is past it too.  Where 1e160
+# multiplies a searched face's only mixed monomial, every sampled objective
+# overflows.  1e200 multiplies an edge's, which the closed form decides
+# exactly at the minimum 2.8 that the search could not evaluate.
 PAST_THE_FLOAT_RANGE = {
     "f1 = 1e160*x^2 + y^2 - 1": [("nondegenerate_probable", "exact", None)],
-    "f1 = x^2 + 1e200*x*y + y^2 - 1\nf2 = x - y": [("inconclusive", "search", "overflow")],
+    "f1 = 1e400*x^2 + y^2 - 1": [("nondegenerate_probable", "exact", None)],
+    "f1 = x^2 + 1e200*x*y + y^2 - 1\nf2 = x - y": [],
     "f1 = x^2 + y^2 + z^2 + 1e160*x*y*z - 1": [("nondegenerate_probable", "exact", None)]
     + [("inconclusive", "search", "overflow")] * 3,
 }
@@ -339,7 +359,8 @@ def test_certify_json_reports_an_infinite_minimum_as_null(text, system_file, cap
     payload = _strict_json(out)
     faces = [f for f in payload["faces"] if f["objective_min"] is None]
     assert [(f["status"], f["method"], f["reason"]) for f in faces] == PAST_THE_FLOAT_RANGE[text]
-    assert payload["status"] == ("inconclusive" if faces[-1]["reason"] else "nondegenerate_probable")
+    searched = any(f["reason"] for f in faces)
+    assert payload["status"] == ("inconclusive" if searched else "nondegenerate_probable")
 
 
 def _assert_runs_without_scipy(script: str, *args: str) -> None:

@@ -1,12 +1,15 @@
-"""Vertices and edges decided in closed form, against the search.
+"""Vertices and edges decided in closed form, against the search and the
+float closed form it replaced.
 
 ``nondegen._certify`` decides a face of dimension 0 or 1 from exact data:
 on a vertex the objective is a constant, and on an edge it is
 G(t) / H(|t|)^2 in t = x^v, with a Sturm count ruling out real roots of
-G.  The torus search ``_certify_faces``, which certified every face
-before, is the oracle: on every face decided in closed form the status
-and exact witness must be the search's, and the closed-form minimum may
-not exceed the search's beyond roundoff.
+G, and its minimum is computed in ``Fraction``s.  The torus search
+``_certify_faces``, which certified every face before, is one oracle: on
+every face decided in closed form the status and exact witness must be
+the search's, and the closed-form minimum may not exceed the search's
+beyond roundoff.  ``closed_form_oracle``, which evaluated the float rank
+test at torus points on the critical orbits, is the other.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from holderbounds.nondegen import (
     _certify_faces,
     _closed_form,
     _edge_polynomials,
+    _padd,
+    _pderiv,
     _pmul,
+    _pseudo_divmod,
+    _ptrim,
     _Sturm,
     build_m_delta,
     certify_face,
@@ -38,6 +45,7 @@ from holderbounds.nondegen import (
 )
 from holderbounds.polysys import parse_system
 
+import closed_form_oracle
 from conftest import DEGENERATE_PAIR_TEXT, DEMO_SYSTEMS, HALF_DISK_TEXT, random_convenient_system
 
 BENCH_SYSTEMS = sorted((Path(__file__).resolve().parent.parent / "bench" / "systems").glob("*.poly"))
@@ -117,8 +125,8 @@ def test_vertex_constant_matches_the_objective_on_the_torus():
     assert checked > 20
 
 
-def _evaluate(poly, t) -> float:
-    return float(sum(Fraction(c) * Fraction(t) ** k for k, c in enumerate(poly)))
+def _value(poly, t) -> Fraction:
+    return sum(Fraction(c) * Fraction(t) ** k for k, c in enumerate(poly))
 
 
 def test_edge_objective_is_g_over_h_squared():
@@ -138,7 +146,7 @@ def test_edge_objective_is_g_over_h_squared():
             for _ in range(4):
                 x = rng.choice([-1.0, 1.0], size=system.n) * np.exp(rng.uniform(-0.7, 0.7, size=system.n))
                 t = float(np.prod(x ** np.array(v, dtype=float)))
-                want = _evaluate(G, t) / _evaluate(H, abs(t)) ** 2
+                want = float(_value(G, t) / _value(H, abs(t)) ** 2)
                 assert normalized_minor_objective(matrix, x) == pytest.approx(want, rel=1e-9, abs=1e-12)
             checked += 1
     assert checked > 20
@@ -219,16 +227,15 @@ def test_vanishing_part_and_higher_faces_go_to_the_search():
     assert kinds == {"vanishing", "higher"}
 
 
-def test_value_in_the_band_goes_to_the_search():
+def test_value_below_the_band_stays_exact():
     # half_disk's vertex (0, 3) has the constant objective 6; with
-    # tau_zero = 1 it is not above 10 tau_zero and goes to the search.
+    # tau_zero = 1 it is not above 10 tau_zero, but tau_zero applies to
+    # searched faces only.
     system = parse_system(HALF_DISK_TEXT)
     matrix = build_m_delta(system, analyze_system(system).faces[0])
-    assert _closed_form(matrix)[0] == 6.0
-    cfg = CertifyConfig(samples=64, seed=1, tau_zero=1.0)
-    out = certify_face(matrix, cfg)
-    assert out.method == "search" and out.samples > 0
-    assert out.status == "inconclusive" and out.reason == "objective_band"
+    assert _closed_form(matrix) == 6
+    out = certify_face(matrix, CertifyConfig(samples=64, seed=1, tau_zero=1.0))
+    assert (out.method, out.samples, out.status, out.objective_min) == ("exact", 0, "nondegenerate_probable", 6.0)
 
 
 def test_inconclusive_reasons():
@@ -259,13 +266,14 @@ def test_cli_reports_method_and_reason(tmp_path, capsys):
 
 
 def test_closed_form_points_lie_on_the_torus():
-    # Every candidate point has nonzero finite coordinates, and critical
-    # points are found on both signs of t = x^v.
+    # The oracle's every candidate point has nonzero finite coordinates,
+    # and critical points are found on both signs of t = x^v.
     signs = set()
     for system in itertools.islice(_random_systems(), 10):
         for face in analyze_system(system).faces:
             matrix = build_m_delta(system, face)
-            form = _closed_form(matrix)
+            form = closed_form_oracle.closed_form(matrix)
+            assert (form is None) == (_closed_form(matrix) is None)
             if form is None or face.dim == 0:
                 continue
             points = form[1]
@@ -274,6 +282,100 @@ def test_closed_form_points_lie_on_the_torus():
             v = np.array(_edge_polynomials(matrix)[2], dtype=float)
             signs.update(np.sign(np.prod(points ** v[:, None], axis=0)).tolist())
     assert signs == {-1.0, 1.0}
+
+
+# Faces whose minimum the float oracle did not report, with why: its
+# minimum was at most 10 tau_zero, so the face went to the search, or its
+# rank test read NaN at a critical point where x^600 overflows.
+SCALED_TEXT = "f1 = 1e-7*x^4 + 1e-7*y^4 - 1e-7"
+OVERFLOW_TEXT = "f1 = x^400*y^300 + x^600 + y^500 - 1\nf2 = x - y^3"
+ORACLE_SENT_TO_SEARCH = {(SCALED_TEXT, 0): "band", (SCALED_TEXT, 1): "band", (SCALED_TEXT, 2): "band", (OVERFLOW_TEXT, 6): "nan"}
+
+
+def test_closed_form_matches_float_oracle():
+    # The closed form uses no seed, so one pass covers every seed.  Both
+    # decide the same faces, and the exact minimum rounds to within
+    # 4e-15 of the float one wherever the float one was reported.
+    systems = [path.read_text() for path in FIXTURES] + [SCALED_TEXT, OVERFLOW_TEXT]
+    systems = [(text, parse_system(text)) for text in systems] + [(k, s) for k, s in enumerate(_random_systems())]
+    decided, unreported = 0, {}
+    for key, system in systems:
+        for index, face in enumerate(analyze_system(system).faces):
+            matrix = build_m_delta(system, face)
+            got, want = _closed_form(matrix), closed_form_oracle.minimum(matrix)
+            assert (got is None) == (want is None), (key, index)
+            if got is None:
+                continue
+            decided += 1
+            if np.isnan(want) or want <= 10 * CertifyConfig().tau_zero:
+                unreported[key, index] = "nan" if np.isnan(want) else "band"
+            else:
+                assert float(got) == pytest.approx(want, rel=4e-15, abs=0), (key, index)
+    assert unreported == ORACLE_SENT_TO_SEARCH
+    assert decided > 400
+
+
+def _minimum_at_bisected_roots(matrix) -> Fraction:
+    """The closed-form minimum at critical roots isolated by Sturm counts
+    and bisected in ``Fraction``s to 2^-200 relative."""
+    G, H, _ = _edge_polynomials(matrix)
+    mirrored = [-c if k % 2 else c for k, c in enumerate(G)]
+    best = min(G[0], G[-1])
+    for branch in (G, mirrored):
+        crit = _ptrim(_padd(_pmul(_pderiv(branch), H), [-2 * c for c in _pmul(branch, _pderiv(H))]))
+        if not crit:
+            continue
+        sturm = _Sturm(crit)
+        free = _pseudo_divmod(sturm.seq[0], sturm.seq[-1])[0]
+        stack, isolated = [(Fraction(0), Fraction(sturm.bound))], []
+        while stack:
+            a, b = stack.pop()
+            count = sturm.changes(a) - sturm.changes(b)
+            if count == 1:
+                isolated.append((a, b))
+            elif count > 1:
+                mid = (a + b) / 2
+                while _Sturm.sign(free, mid) == 0:
+                    mid = (a + mid) / 2
+                stack += [(a, mid), (mid, b)]
+        for a, b in isolated:
+            above = _Sturm.sign(free, b)
+            while b - a > a * Fraction(1, 2**200):
+                mid = (a + b) / 2
+                a, b = (a, mid) if _Sturm.sign(free, mid) in (0, above) else (mid, b)
+            u = (a + b) / 2
+            best = min(best, _value(branch, u) / _value(H, u) ** 2)
+    return best
+
+
+def test_minimum_is_the_rounded_minimum_at_exactly_bisected_roots():
+    systems = [parse_system(path.read_text()) for path in FIXTURES] + list(_random_systems(10))
+    checked = 0
+    for system in systems:
+        for face in analyze_system(system).faces:
+            matrix = build_m_delta(system, face)
+            got = _closed_form(matrix)
+            if got is not None:
+                assert float(got) == float(_minimum_at_bisected_roots(matrix))
+                checked += 1
+    assert checked > 200
+
+
+def test_quadratic_bowl_edge_reads_32_sevenths():
+    # (5s^2 + 4s + 20) / (s + 1)^2 with s = x^2/y^2 is least at s = 6.
+    verdict = certify_system(parse_system((DEMO_SYSTEMS[0].parent / "quadratic_bowl.poly").read_text()))
+    edge = verdict.faces[2]
+    assert (edge.method, edge.objective_min) == ("exact", float(Fraction(32, 7)))
+
+
+def test_scaled_system_is_decided_exactly():
+    # At 1e-7 every minimum lies under 10 tau_zero; the search called the
+    # system degenerate.  A Sturm count decides each face whatever its scale.
+    verdict = certify_system(parse_system(SCALED_TEXT), CertifyConfig(seed=1))
+    assert verdict.status == "nondegenerate_probable"
+    assert [(f.method, f.samples) for f in verdict.faces] == [("exact", 0)] * 3
+    minima = [Fraction(17, 10**14), Fraction(17, 10**14), Fraction(9, 10**14)]
+    assert [f.objective_min for f in verdict.faces] == [float(m) for m in minima]
 
 
 def test_positive_roots_are_bisected_to_double_precision():

@@ -491,11 +491,12 @@ def test_single_polynomial_grid_cross_check(text, expected):
         assert low > 1e-6
 
 
-def test_certify_face_ambiguous_band_is_inconclusive(half_disk):
+def test_certify_face_ambiguous_band_is_inconclusive(sphere_cubic):
     # Inflate tau_zero so a genuinely positive objective minimum lands in
-    # the ambiguous band (tau_zero, 10*tau_zero].
-    geometry = analyze_system(half_disk)
-    M = build_m_delta(half_disk, geometry.faces[0])
+    # the ambiguous band (tau_zero, 10*tau_zero].  The band applies to
+    # searched faces only, so the face is 2-dimensional.
+    geometry = analyze_system(sphere_cubic)
+    M = build_m_delta(sphere_cubic, _face_by_dim(geometry, 2))
     floor = certify_face(M, FAST).objective_min
     banded = CertifyConfig(
         samples=FAST.samples,
