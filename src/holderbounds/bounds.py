@@ -124,7 +124,7 @@ def quadratic_bound(A, b, c0: float = 0.0) -> QuadraticBound:
         raise ValueError("A must be square")
     if b.shape != (A.shape[0],):
         raise ValueError("b length must match A")
-    scale = np.abs(A).max()
+    scale = np.abs(A).max(initial=0.0)
     if scale == 0:
         raise ValueError("A must be nonzero")
     if np.abs(A - A.T).max() > 1e-12 * scale:

@@ -163,9 +163,13 @@ def _run_certify(cfg: RunConfig):
     return code, payload, "\n".join(lines)
 
 
-def _exponent_report(system: PolySystem):
+def _require_variables(system: PolySystem, what: str) -> None:
     if system.n == 0:
-        raise UsageError("the system has no variables, so it has no Hölder exponent")
+        raise UsageError(f"the system has no variables, so it has no {what}")
+
+
+def _exponent_report(system: PolySystem):
+    _require_variables(system, "Hölder exponent")
     return holder_exponent(max(system.d, 1), system.n, system.p)
 
 
@@ -239,6 +243,7 @@ def _run_verify(cfg: RunConfig):
 
 def _run_slope(cfg: RunConfig):
     system = _load_system(cfg)
+    _require_variables(system, "slope")
     if cfg.point is None:
         raise UsageError("slope requires --point")
     if len(cfg.point) != system.n:
@@ -263,6 +268,7 @@ def _run_slope(cfg: RunConfig):
 
 
 def _quadratic_data(system: PolySystem):
+    _require_variables(system, "quadratic bound")
     if system.p != 1:
         raise UsageError("quadratic expects a single component")
     f = system.polys[0]

@@ -36,10 +36,10 @@ outside the span of those before them.  Its free columns give
 primitive integer null vectors: the equations of the affine hull,
 which make hull membership a few integer dot products, and the facet
 normals of the starting simplex.  A full-dimensional hull is built on
-the points themselves; a lower-dimensional one on hull coordinates,
-whose facet normals are lifted back.  The Gram solves behind those
-coordinates and lifted normals keep each pivot as the denominator of
-its row, so they stay in integers too.
+the points themselves, a lower-dimensional one on the integer points
+y = B u, B the basis rows: u -> B u is one to one on the affine hull, so
+a facet <w, y> >= c of the image is the facet <B^T w, u> >= c, and
+B^T w lies in the span of B, where the primitive normal is unique.
 
 Conventions:
 
@@ -140,11 +140,12 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
 
 
 class _AffineFrame:
-    """Affine hull of a point set: base point, integer basis, exact coords.
+    """Affine hull of a point set: base point, integer basis, equations.
 
     ``simplex`` holds the indices of dim + 1 affinely independent points:
     the base point and the points whose differences form the basis, each
-    the first difference outside the span of those before it.
+    the first difference outside the span of those before it.  The basis
+    rows B are independent, so u -> B u is one to one on the hull.
     ``equations`` is a primitive integer basis of the normals of the hull.
     """
 
@@ -160,48 +161,8 @@ class _AffineFrame:
         ]
 
     def spans(self, point: Sequence) -> bool:
-        q = [a if isinstance(a, int) else Fraction(a) for a in point]
+        q = _exact(point, len(self.base))
         return all(_dot(e, q) == offset for e, offset in self.equations)
-
-    def _solve(self, columns) -> list[list[tuple[int, int]]]:
-        """z with G z = c for each column c, G the Gram matrix of the basis.
-
-        Each z_i comes back as an integer pair (numerator, denominator):
-        G is nonsingular, so its pivots lie on the diagonal and are the
-        denominators.
-        """
-        gram = [[_dot(r1, r2) for r2 in self.basis] for r1 in self.basis]
-        a, pivots = _eliminate([g + list(c) for g, c in zip(gram, zip(*columns))])
-        heads = [row[col] for row, col in zip(a, pivots)]
-        return [
-            [(row[self.dim + j], head) for row, head in zip(a, heads)]
-            for j in range(len(columns))
-        ]
-
-    def coordinates(self, points: Sequence[Exponent]) -> list[tuple[int, ...]]:
-        """Integer coordinates of hull points (common positive rescaling).
-
-        The scale is the least common denominator of the exact coordinates.
-        """
-        if not self.dim:
-            return [() for _ in points]
-        diffs = ([a - b for a, b in zip(u, self.base)] for u in points)
-        raw = self._solve([[_dot(row, d) for row in self.basis] for d in diffs])
-        scale = lcm(*(abs(d) // gcd(n, d) for z in raw for n, d in z))
-        return [tuple(n * scale // d for n, d in z) for z in raw]
-
-    def lift_normals(self, ws: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        """Primitive ambient normals inducing the coordinate functionals ``ws``."""
-        out = []
-        for z in self._solve(ws):
-            scale = lcm(*(abs(d) for _, d in z))
-            normal = [
-                sum(n * scale // d * b for (n, d), b in zip(z, column))
-                for column in zip(*self.basis)
-            ]
-            g = gcd(*normal) or 1
-            out.append(tuple(v // g for v in normal))
-        return out
 
 
 # -- hull and face machinery ------------------------------------------------------
@@ -249,6 +210,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _exact(point: Sequence, n: int) -> list:
+    """``point`` with its non-integer entries as ``Fraction``s; it must have n."""
+    if len(point) != n:
+        raise PolynomialError("ambient dimension mismatch")
+    return [a if isinstance(a, int) else Fraction(a) for a in point]
+
+
 def _least_mask(points: Sequence[Exponent], q: Sequence) -> int:
     """Bit mask of the points where <q, point> is least."""
     values = [_dot(q, u) for u in points]
@@ -288,13 +256,9 @@ class NewtonPolytope:
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership test for a rational point."""
-        if len(point) != self.nvars:
-            raise PolynomialError("ambient dimension mismatch")
-        if not self._frame.spans(point):
-            return False
-        return all(
-            sum(Fraction(v) * c for v, c in zip(normal, point)) >= offset
-            for normal, offset in self.facets
+        q = _exact(point, self.nvars)
+        return self._frame.spans(q) and all(
+            _dot(normal, q) >= offset for normal, offset in self.facets
         )
 
 
@@ -319,15 +283,17 @@ def _build_polytope(
         )
 
     if k == len(frame.base):
-        # Full-dimensional: the points are their own coordinates, and each
-        # facet normal is the hull's coordinate normal made primitive.
+        # Full-dimensional: the points are their own coordinates.
         coord_facets = _hull_coord_facets(pts, k, frame.simplex)
-        normals = [tuple(v // gcd(*w) for v in w) for w, _ in coord_facets]
+        normals = [w for w, _ in coord_facets]
     else:
-        coord_facets = _hull_coord_facets(frame.coordinates(pts), k, frame.simplex)
-        # On the hull's points <normal, u - base> is a positive multiple of
-        # <w, coordinates of u>, so both are least on the same points.
-        normals = frame.lift_normals([w for w, _ in coord_facets])
+        # Flat: the hull of y = B u has P's facets and tight masks, B being
+        # one to one on aff(P), and its facet <w, y> >= c is <B^T w, u> >= c.
+        coords = [[_dot(b, u) for b in frame.basis] for u in pts]
+        coord_facets = _hull_coord_facets(coords, k, frame.simplex)
+        normals = [[_dot(w, c) for c in zip(*frame.basis)] for w, _ in coord_facets]
+    # Made primitive, a normal is its facet's unique one in the hull's span.
+    normals = [tuple(v // gcd(*n) for v in n) for n in normals]
     # Each normal must be least exactly on its facet's tight points.
     if any(_least_mask(pts, n) != t for n, (_, t) in zip(normals, coord_facets)):
         raise RuntimeError("facet table mismatch; exact arithmetic invariant broken")
@@ -489,13 +455,13 @@ def minkowski_sum(
 
 def min_support(polytope: NewtonPolytope, q: Sequence) -> Rational:
     """Support value d(q, P) = min over P of <q, kappa> (exact)."""
-    q = [a if isinstance(a, int) else Fraction(a) for a in q]
+    q = _exact(q, polytope.nvars)
     return min(_dot(q, p) for p in polytope.points)
 
 
 def min_face(polytope: NewtonPolytope, q: Sequence) -> tuple[Exponent, ...]:
     """Generator points of the face of P selected by the direction q."""
-    q = [a if isinstance(a, int) else Fraction(a) for a in q]
+    q = _exact(q, polytope.nvars)
     return _bits(_least_mask(polytope.points, q), polytope.points)
 
 

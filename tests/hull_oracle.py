@@ -20,6 +20,11 @@ through ``_row_reduce``, which scales every pivot to 1, and its normals
 through ``_primitive``; ``facets_by_incremental_frame`` lifts a hull's
 facets with it.
 
+``GramFrame`` keeps the Gram solves ``newton`` built lower-dimensional
+hulls with before it used the integer points y = B u: rational hull
+coordinates rescaled by their lcm, and facet normals lifted back by a
+second solve.  ``facets_by_gram_lift`` builds a hull's facets with it.
+
 ``proper_faces_by_dot_products`` is the face enumeration ``newton`` used
 before it derived faces from the facet table alone: it recomputes every
 facet's tight mask, closes them under intersection, and checks each
@@ -48,12 +53,14 @@ from holderbounds.newton import (
     DecompositionError,
     FaceEnumerationError,
     PolytopeFace,
+    _AffineFrame,
     _build_polytope,
+    _dot,
     _eliminate,
     min_face,
     min_support,
 )
-from holderbounds.polysys import grlex_key
+from holderbounds.polysys import Exponent, grlex_key
 
 CANDIDATE_CAP = 5_000_000
 # Entries of one batch's (candidates, points) value matrix.
@@ -181,6 +188,50 @@ class IncrementalAffineFrame:
             for j in range(len(self.base))
         ]
         return _primitive(ambient)
+
+
+class GramFrame(_AffineFrame):
+    """``_AffineFrame`` with hull coordinates and lifted normals from Gram solves."""
+
+    def _solve(self, columns) -> list[list[tuple[int, int]]]:
+        """z with G z = c for each column c, G the Gram matrix of the basis.
+
+        Each z_i comes back as an integer pair (numerator, denominator):
+        G is nonsingular, so its pivots lie on the diagonal and are the
+        denominators.
+        """
+        gram = [[_dot(r1, r2) for r2 in self.basis] for r1 in self.basis]
+        a, pivots = _eliminate([g + list(c) for g, c in zip(gram, zip(*columns))])
+        heads = [row[col] for row, col in zip(a, pivots)]
+        return [
+            [(row[self.dim + j], head) for row, head in zip(a, heads)]
+            for j in range(len(columns))
+        ]
+
+    def coordinates(self, points: Sequence[Exponent]) -> list[tuple[int, ...]]:
+        """Integer coordinates of hull points (common positive rescaling).
+
+        The scale is the least common denominator of the exact coordinates.
+        """
+        if not self.dim:
+            return [() for _ in points]
+        diffs = ([a - b for a, b in zip(u, self.base)] for u in points)
+        raw = self._solve([[_dot(row, d) for row in self.basis] for d in diffs])
+        scale = lcm(*(abs(d) // gcd(n, d) for z in raw for n, d in z))
+        return [tuple(n * scale // d for n, d in z) for z in raw]
+
+    def lift_normals(self, ws: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """Primitive ambient normals inducing the coordinate functionals ``ws``."""
+        out = []
+        for z in self._solve(ws):
+            scale = lcm(*(abs(d) for _, d in z))
+            normal = [
+                sum(n * scale // d * b for (n, d), b in zip(z, column))
+                for column in zip(*self.basis)
+            ]
+            g = gcd(*normal) or 1
+            out.append(tuple(v // g for v in normal))
+        return out
 
 
 def enumerate_coord_facets(coords: list[tuple[int, ...]], k: int):
@@ -393,6 +444,18 @@ def facets_by_incremental_frame(points) -> tuple:
         normal = frame.lift_normal(w)
         facets.append((normal, min(sum(a * b for a, b in zip(normal, p)) for p in points)))
     return tuple(sorted(facets))
+
+
+def facets_by_gram_lift(points) -> tuple:
+    """The facet pairs of conv(points), lifted by ``GramFrame``."""
+    frame = GramFrame(list(points))
+    if not frame.dim:
+        return ()
+    coords = frame.coordinates(points)
+    ws = [w for w, _ in newton._hull_coord_facets(coords, frame.dim, frame.simplex)]
+    return tuple(
+        sorted((normal, min(_dot(normal, p) for p in points)) for normal in frame.lift_normals(ws))
+    )
 
 
 def proper_faces_by_closure(polytope) -> tuple[PolytopeFace, ...]:

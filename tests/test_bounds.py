@@ -94,6 +94,9 @@ def test_quadratic_bound_rejects_asymmetric_and_zero():
         quadratic_bound(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         quadratic_bound(np.zeros((2, 2)), np.zeros(2))
+    # An empty A used to raise numpy's zero-size reduction error instead.
+    with pytest.raises(ValueError, match="A must be nonzero"):
+        quadratic_bound(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_quadratic_gradient_inequality_random():

@@ -1,8 +1,9 @@
 """The double-description hull, the face lattice and the decomposition check.
 
 Each is compared against the code it replaced, kept in ``hull_oracle.py``:
-the brute-force facet search, the face enumerations that check every
-witness against every generator and that close the tight masks under
+the brute-force facet search, the Gram solves that built and lifted
+lower-dimensional hulls, the face enumerations that check every witness
+against every generator and that close the tight masks under
 intersection, and the check that rebuilds two hulls per face.
 ``analyze_system``'s summand faces from tight masks are compared against
 ``decompose_face``.
@@ -36,11 +37,12 @@ from holderbounds.newton import (
     minkowski_sum,
     newton_polytope,
 )
-from holderbounds.polysys import parse_system
+from holderbounds.polysys import Polynomial, PolySystem, parse_system
 
 import hull_oracle
 from conftest import random_convenient_system
 from hull_oracle import (
+    GramFrame,
     IncrementalAffineFrame,
     _hyperplane_normal,
     brute_force_hull,
@@ -49,6 +51,7 @@ from hull_oracle import (
     coord_facets_one_by_one,
     coords_fit_int64,
     decompose_face_by_hull_rebuild,
+    facets_by_gram_lift,
     facets_by_incremental_frame,
     proper_faces_by_closure,
     proper_faces_by_dot_products,
@@ -126,6 +129,19 @@ def test_decompose_check_matches_hull_rebuild_oracle():
     assert 0 < raised < pairs
 
 
+def _sparse_system(rng):
+    """Random system with 1 to 4 terms per component, rarely convenient."""
+    n = rng.randint(2, 5)
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.choice([-2, -1, 1, 2]))
+            for _ in range(rng.randint(1, 4))
+        }
+        polys.append(Polynomial(terms, n))
+    return PolySystem.from_polynomials(polys)
+
+
 def _lattice_systems():
     for path in DEMO_SYSTEMS + BENCH_SYSTEMS:
         yield path.name, parse_system(path.read_text())
@@ -136,19 +152,24 @@ def _lattice_systems():
     for seed in range(40):
         rng = random.Random(1000 + seed)
         yield f"seed {seed}", random_convenient_system(rng, max_vars=5, max_polys=3)
+    for seed in range(40):
+        yield f"sparse {seed}", _sparse_system(random.Random(3000 + seed))
 
 
 def test_lattice_matches_dot_product_oracle():
-    names = []
+    names, flat = [], 0
     for name, system in _lattice_systems():
         parts = [newton_polytope(f) for f in system.polys]
         for P in (*parts, minkowski_sum(parts)):
             assert P.vertices == vertices_by_dot_products(P), name
+            assert P.facets == facets_by_gram_lift(P.points), name
             assert P.facets == facets_by_incremental_frame(P.points), name
             assert all_proper_faces(P) == proper_faces_by_dot_products(P), name
+            flat += 0 < P.dim < P.nvars
         names.append(name)
-    assert len(names) == len(DEMO_SYSTEMS) + len(BENCH_SYSTEMS) + 43
+    assert len(names) == len(DEMO_SYSTEMS) + len(BENCH_SYSTEMS) + 83
     assert len(DEMO_SYSTEMS) >= 6 and len(BENCH_SYSTEMS) >= 3
+    assert flat > 60
 
 
 def test_lattice_walk_matches_closure_oracle():
@@ -201,7 +222,7 @@ def _candidate_coords():
     for system in systems:
         parts = [newton_polytope(f) for f in system.polys]
         for P in (*parts, minkowski_sum(parts)):
-            frame = _AffineFrame(list(P.points))
+            frame = GramFrame(list(P.points))
             if frame.dim >= 2:
                 yield frame.coordinates(P.points), frame.dim
     rng = random.Random(0)
@@ -357,7 +378,7 @@ def test_facets_do_not_depend_on_insertion_order(seed):
     assert faces_at_infinity(shuffled) == faces_at_infinity(total)
 
     # The hull itself, fed the points in another order from another simplex.
-    frame = _AffineFrame(list(total.points))
+    frame = GramFrame(list(total.points))
     coords = frame.coordinates(total.points)
     order = list(range(len(coords)))
     rng.shuffle(order)
@@ -385,10 +406,10 @@ def test_affine_frame_matches_incremental_oracle(n):
 
             new, old = _AffineFrame(points), IncrementalAffineFrame(points)
             assert (new.simplex, new.basis, new.dim) == (old.simplex, old.basis, old.dim)
-            assert new.coordinates(points) == old.coordinates(points)
-            ws = [[rng.randint(-3, 3) for _ in range(new.dim)] for _ in range(4)]
             if new.dim:
-                assert new.lift_normals(ws) == [old.lift_normal(w) for w in ws]
+                facets = _build_polytope(points, n).facets
+                assert facets == facets_by_gram_lift(points), points
+                assert facets == facets_by_incremental_frame(points), points
             dims.add(new.dim)
 
             queries = list(points) + [

@@ -150,6 +150,15 @@ def test_minkowski_sum_dimension_mismatch():
         minkowski_sum([P, Q])
 
 
+@pytest.mark.parametrize("q", [(1,), (-1, -1, 5)])
+def test_min_support_and_min_face_reject_a_direction_of_the_wrong_length(q):
+    # Lengths n - 1 and n + 1 used to be truncated silently by the dot product.
+    P = newton_polytope(_poly("x^2 + y^2 - 1"))
+    for measure in (min_support, min_face, type(P).contains):
+        with pytest.raises(PolynomialError, match="ambient dimension mismatch"):
+            measure(P, q)
+
+
 def test_faces_at_infinity_triangle(half_disk):
     total = minkowski_sum([newton_polytope(f) for f in half_disk.polys])
     faces = faces_at_infinity(total)

@@ -1,12 +1,15 @@
 """Line counts of every module under src/, by kind.
 
 Usage: python tools/src_lines.py [SRC_DIR]
+       python tools/src_lines.py PARENT_SRC CHANGE_SRC
 
 For each module and in total it prints four counts.  ``total`` counts
 every line.  ``docstrings`` counts the lines that ``ast`` places inside a
 module, class or function docstring.  ``comments`` counts the other lines
 whose text starts with ``#``, and ``code`` the other nonblank lines.
-Blank lines count in ``total`` alone.
+Blank lines count in ``total`` alone.  Given two trees it prints, for
+each module in either and in total, the change from the first tree to
+the second, then both trees' totals.
 """
 
 from __future__ import annotations
@@ -42,17 +45,39 @@ def count(path: Path) -> dict[str, int]:
     return out
 
 
+KINDS = ("total", "code", "docstrings", "comments")
+
+
+def tree(root: Path) -> dict[str, dict[str, int]]:
+    return {str(path.relative_to(root)): count(path) for path in sorted(root.rglob("*.py"))}
+
+
+def _row(name: str, counts: dict[str, int], sign: str = "") -> str:
+    return f"{name:<32}" + "".join(f"{counts[k]:>{sign}12,}" for k in KINDS)
+
+
+def _sum(modules: dict[str, dict[str, int]]) -> dict[str, int]:
+    return {k: sum(counts[k] for counts in modules.values()) for k in KINDS}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src")
-    kinds = ("total", "code", "docstrings", "comments")
-    print(f"{'module':<32}" + "".join(f"{k:>12}" for k in kinds))
-    sums = dict.fromkeys(kinds, 0)
-    for path in sorted(root.rglob("*.py")):
-        counts = count(path)
-        for k in kinds:
-            sums[k] += counts[k]
-        print(f"{str(path.relative_to(root)):<32}" + "".join(f"{counts[k]:>12,}" for k in kinds))
-    print(f"{'all':<32}" + "".join(f"{sums[k]:>12,}" for k in kinds))
+    roots = [Path(a) for a in argv[1:]] or [Path(__file__).resolve().parent.parent / "src"]
+    print(f"{'module':<32}" + "".join(f"{k:>12}" for k in KINDS))
+    if len(roots) == 1:
+        modules = tree(roots[0])
+        for name, counts in modules.items():
+            print(_row(name, counts))
+        print(_row("all", _sum(modules)))
+        return 0
+    parent, change = map(tree, roots)
+    zero = dict.fromkeys(KINDS, 0)
+    for name in sorted(parent.keys() | change.keys()):
+        old, new = parent.get(name, zero), change.get(name, zero)
+        print(_row(name, {k: new[k] - old[k] for k in KINDS}, "+"))
+    old, new = _sum(parent), _sum(change)
+    print(_row("all", {k: new[k] - old[k] for k in KINDS}, "+"))
+    print(_row("all, first tree", old))
+    print(_row("all, second tree", new))
     return 0
 
 
