@@ -27,13 +27,14 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .bounds import holder_exponent, quadratic_bound
 from .newton import FaceEnumerationError, analyze_system, face_to_json
 from .nondegen import CertifyConfig, certify_system
-from .polysys import ParseError, PolynomialError, PolySystem, parse_system
+from .polysys import ParseError, PolynomialError, PolySystem, _require_variables, parse_system
 from .verify import FeasibleSetEmptyError, SamplePlan, ValueOverflowError, slope, verify_bound
 
 EXIT_OK = 0
@@ -161,11 +162,6 @@ def _run_certify(cfg: RunConfig):
         lines.append(entry)
     code = EXIT_FINDING if verdict.status == "degenerate" else EXIT_OK
     return code, payload, "\n".join(lines)
-
-
-def _require_variables(system: PolySystem, what: str) -> None:
-    if system.n == 0:
-        raise UsageError(f"the system has no variables, so it has no {what}")
 
 
 def _exponent_report(system: PolySystem):
@@ -337,10 +333,27 @@ def run(cfg: RunConfig) -> tuple[int, str]:
     with np.errstate(over="ignore", invalid="ignore"):
         code, payload, text = _RUNNERS[cfg.command](cfg)
     if cfg.output_format == "json":
-        rendered = json.dumps(payload, indent=2, sort_keys=True)
+        rendered = _dumps(payload)
     else:
         rendered = text
     return code, rendered
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, without
+    the pure-Python encoder that ``indent`` selects: scalars are C-encoded."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        body = [
+            f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+            f"{repr(v) if type(v) is float and v - v == 0 else _dumps(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(body) + indent + "}" if body else "{}"
+    if isinstance(value, (list, tuple)):
+        body = [repr(v) if type(v) is float and v - v == 0 else _dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + indent + "]" if body else "[]"
+    return json.dumps(value)
 
 
 # -- argument handling --------------------------------------------------------------

@@ -48,7 +48,7 @@ class _CompiledMap:
     def __init__(self, polys: Sequence[Polynomial], nvars: int):
         support = sorted(set().union(*(f.terms for f in polys)))
         self.nvars = nvars
-        self.exps = np.array(support, dtype=np.int64).reshape(-1, nvars)
+        self.exps = np.array(support, dtype=np.int64).reshape(len(support), nvars)
         try:
             coeffs = np.array([[float(f.terms.get(e, 0)) for f in polys] for e in support])
         except OverflowError:
@@ -59,7 +59,9 @@ class _CompiledMap:
         powers = _rung_closure(self.exps)
         slot = {e: k for k, e in enumerate(powers)}
         self._rungs = [(slot[e], slot[e // 2], slot[e - e // 2]) for e in powers[2:]]
-        self._slots = np.searchsorted(powers, self.exps)
+        # _flat[j, k] is the row of x_j^kappa_j, for monomial k, in the
+        # ladder flattened to (rungs * n, m).
+        self._flat = (np.searchsorted(powers, self.exps) * nvars + np.arange(nvars)).T.copy()
 
     def _set_coeffs(self, coeffs: np.ndarray) -> None:
         self.coeffs = coeffs
@@ -76,11 +78,13 @@ class _CompiledMap:
             )
         return X
 
-    def table(self, X) -> np.ndarray:
+    def table(self, X, flat=None) -> np.ndarray:
         """x^kappa for every kappa of the support (rows) and every point
         (columns), from coordinates X of shape (n, m) whose column i is
         point i: monomial-major, so each monomial is one contiguous row.
-        A batch of points held one per row is passed as ``X.T``."""
+        A batch of points held one per row is passed as ``X.T``; ``flat``,
+        columns of ``_flat``, picks the monomials."""
+        flat = self._flat if flat is None else flat
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] != self.nvars:
             raise ValueError(
@@ -91,9 +95,10 @@ class _CompiledMap:
         ladder[1] = X
         for k, lo, hi in self._rungs:
             np.multiply(ladder[lo], ladder[hi], out=ladder[k])
-        out = ladder[self._slots[:, 0], 0]
-        for j in range(1, self.nvars):
-            out *= ladder[self._slots[:, j], j]
+        ladder = ladder.reshape(len(ladder) * self.nvars, X.shape[1])
+        out = ladder.take(flat[0], axis=0) if self.nvars else np.ones((flat.shape[1], X.shape[1]))
+        for rows in flat[1:]:
+            out *= ladder.take(rows, axis=0)
         return out
 
     def contract(self, table: np.ndarray) -> np.ndarray:

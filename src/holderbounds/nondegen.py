@@ -25,10 +25,9 @@ slow.  ``_row_sum`` groups those adds as numpy groups a sum along a
 contiguous row, and every other step is elementwise, so each objective,
 projection and descent step has the bits the point-major layout gave.
 Every array pass counts at the batch sizes of the search (a few hundred
-to a few thousand points), so one evaluation builds one power ladder
-and one monomial table for all p rows, contracts each row straight into
-its n + p entries and reduces the rows in place; one descent iteration
-builds its proposals from the live rows it keeps between iterations.
+to a few thousand points), so each evaluation gathers every row's
+monomials from one power ladder, and the descent's face masks last as
+long as its live set.
 
 Each face is sampled from its own random stream, in one stage per
 ``tau_axis`` floor, one face and stage at a time.  Then one batched
@@ -82,7 +81,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluator import ValueOverflowError, _CompiledMap
+from .evaluator import ValueOverflowError, _CompiledMap, _einsum
 from .newton import FaceAtInfinity, SystemGeometry, _eliminate, analyze_system
 from .polysys import Exponent, Polynomial, PolySystem, principal_part, rational_str
 
@@ -167,12 +166,8 @@ class _RankTest:
     columns of an (n, m) coordinate array and carry the index of their
     face.
 
-    One evaluation builds one power ladder and one monomial table over
-    the union of every row's support (``_monomials``), since a monomial's
-    bits depend on it and the point alone.  Row i's table is rows
-    ``_bounds[i]:_bounds[i + 1]`` of one gather of it (``_take``), and all
-    of them are masked in one multiply by the columns of ``_mask`` that
-    the points' faces pick.
+    An evaluation gathers row i's monomials, rows ``_bounds[i]:_bounds[i + 1]``
+    of one table, from one power ladder, and masks them by ``select``'s columns.
     """
 
     def __init__(self, matrices: Sequence[MDeltaMatrix]):
@@ -196,14 +191,20 @@ class _RankTest:
         slot = {kappa: k for k, kappa in enumerate(map(tuple, self._monomials.exps.tolist()))}
         supports = [[tuple(kappa) for kappa in row.exps.tolist()] for row in self.rows]
         self._bounds = np.cumsum([0] + [len(support) for support in supports]).tolist()
-        self._take = np.array([slot[kappa] for support in supports for kappa in support], dtype=np.intp)
+        self._flat = self._monomials._flat[:, [slot[kappa] for support in supports for kappa in support]]
         # _mask[k, face] is 1.0 where gathered monomial k is on the face.
         mask = [[float(k in face[i].terms) for face in parts] for i, s in enumerate(supports) for k in s]
-        self._mask = np.array(mask).reshape(len(self._take), len(parts))
+        self._mask = np.array(mask).reshape(self._flat.shape[1], len(parts))
         # A vanishing principal part forces rank < p outright.
         self.zero_row = np.array([any(not part.terms for part in face) for face in parts])
 
-    def _evaluate(self, X: np.ndarray, faces) -> tuple[list[np.ndarray], np.ndarray]:
+    def select(self, faces) -> tuple[np.ndarray, np.ndarray | None]:
+        """The mask columns and zero-row flags (None if none is set) of ``faces``."""
+        faces = np.atleast_1d(faces)
+        zero = self.zero_row[faces]
+        return np.take(self._mask, faces, axis=1), zero if zero.any() else None
+
+    def _evaluate(self, X: np.ndarray, mask: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """The rows of the matrices at the points X, each (n + p, m), and
         the squared product of the row gauges.
 
@@ -215,45 +216,45 @@ class _RankTest:
         a coordinate hyperplane (which never leaves the full-rank locus)
         cannot masquerade as degeneracy.
         """
-        table = np.take(self._monomials.table(X), self._take, axis=0)
-        table *= np.take(self._mask, np.atleast_1d(faces), axis=1)
+        table = self._monomials.table(X, self._flat)
+        table *= mask
         magnitude = np.abs(table)
+        # The gauge adds its monomials one after another, so that a masked
+        # zero never regroups the sum: np.add.reduce does over the first
+        # axis of more than one point (see ``_ordered_sum``).
+        gauge = np.add.reduce if X.shape[1] > 1 else _ordered_sum
         rows = []
         scale = 1.0
         for row, lo, hi in zip(self.rows, self._bounds, self._bounds[1:]):
-            # contract views einsum's (n + p, m) output point-major; .T undoes that view.
-            rows.append(row.contract(table[lo:hi]).T)
-            # The gauge adds its monomials one after another, so that a
-            # masked zero never regroups the sum.
-            scale = scale * _ordered_sum(magnitude[lo:hi]) ** 2
+            rows.append(_einsum("km,kj->jm", table[lo:hi], row._weights))
+            scale = scale * gauge(magnitude[lo:hi]) ** 2
         return rows, scale
 
     def matrices(self, X: np.ndarray, faces=0) -> np.ndarray:
         """The (p, n + p, m) matrices at the points X."""
-        return np.stack(self._evaluate(np.asarray(X, dtype=float), faces)[0])
+        return np.stack(self._evaluate(np.asarray(X, dtype=float), self.select(faces)[0])[0])
 
     def raw_objective(self, X: np.ndarray, faces=0) -> np.ndarray:
-        return _gram_determinant(self._evaluate(np.asarray(X, dtype=float), faces)[0])
+        return _gram_determinant(self._evaluate(np.asarray(X, dtype=float), self.select(faces)[0])[0])
 
-    def normalized(self, X: np.ndarray, faces=0) -> np.ndarray:
+    def normalized(self, X: np.ndarray, faces=0, masks=None) -> np.ndarray:
         """Minor objective divided by the squared product of row gauges.
 
         X holds one point per column; ``faces`` is one face index for
-        every point, or one per point.
+        every point, or one per point, or ``masks`` is ``select(faces)``.
         """
         X = np.asarray(X, dtype=float)
-        if np.ndim(faces) == 0 and self.zero_row[faces]:
-            # A face with a vanishing principal part reads 0 at every point.
+        mask, zero = self.select(faces) if masks is None else masks
+        if zero is not None and zero.all():
+            # Faces with a vanishing principal part read 0 at every point.
             return np.zeros(X.shape[1])
         out = np.empty(X.shape[1])
         for start in range(0, X.shape[1], _BATCH_ROWS):
             cols = slice(start, start + _BATCH_ROWS)
-            chunk = faces[cols] if np.ndim(faces) else faces
-            rows, scale = self._evaluate(X[:, cols], chunk)
+            rows, scale = self._evaluate(X[:, cols], mask[:, cols] if mask.shape[1] > 1 else mask)
             det = _gram_determinant(rows)
-            zero = self.zero_row[chunk]
-            if zero.any():
-                det, scale = np.where(zero, 0.0, det), np.where(zero, 1.0, scale)
+            if zero is not None:
+                det, scale = np.where(zero[cols], 0.0, det), np.where(zero[cols], 1.0, scale)
             np.divide(det, scale, out=out[cols])
         return out
 
@@ -312,11 +313,13 @@ def _gram_determinant(rows: Sequence[np.ndarray]) -> np.ndarray:
     """
     p = len(rows)
     product = np.empty(rows[0].shape)
+    # Below 8 terms _row_sum is _ordered_sum: np.add.reduce over more than one point.
+    total = np.add.reduce if product.shape[0] < 8 and product.shape[1] > 1 else _row_sum
     for i, v in enumerate(rows):
         for q in rows[:i]:
-            d = _row_sum(np.multiply(v, q, out=product))
+            d = total(np.multiply(v, q, out=product))
             v -= np.multiply(d, q, out=product)
-        norm2 = _row_sum(np.multiply(v, v, out=product))
+        norm2 = total(np.multiply(v, v, out=product))
         det = norm2 if i == 0 else det * norm2
         if i < p - 1:
             # v becomes its unit residual.
@@ -450,10 +453,12 @@ def _shell(Y: np.ndarray, tau_axis) -> np.ndarray:
     off the hyperplanes, and only the others are pushed again.
     """
     norms = np.sqrt(_row_sum(Y * Y))
-    # np.clip(norms, 0.5, 2.0), without its wrapper's microseconds per call.
-    Y = Y * (np.minimum(np.maximum(norms, 0.5), 2.0) / norms)
     # A NaN norm is not inside, and is pushed too.
     inside = norms <= 2.0
+    if inside.all() and (norms >= 0.5).all():
+        return Y  # every factor is exactly 1
+    # np.clip(norms, 0.5, 2.0), without its wrapper's microseconds per call.
+    Y = Y * (np.minimum(np.maximum(norms, 0.5), 2.0) / norms)
     if not inside.all():
         far = ~inside
         Y[:, far] = _off_axes(Y[:, far], np.broadcast_to(tau_axis, far.shape)[far])
@@ -469,52 +474,53 @@ def _descend(comp: _RankTest, starts: np.ndarray, tau_axis, iters: int, faces=0)
     own: its trajectory does not depend on which rows share the batch.
     Each iteration proposes, for every live row, a step up and a step
     down along each coordinate, projects them and moves to the best
-    proposal if it improves.  A row that fails to improve with its step
-    at the 1e-12 floor sits at a fixed point (every later iteration would
-    repeat its proposals), so it leaves the live set; the descent ends
-    when no row is live or after ``iters`` iterations.
+    proposal if it improves.  A row leaves the live set at a fixed point:
+    at 0, which no objective improves on, or failing to improve with its
+    step at the 1e-12 floor.  The descent ends when no row is live or
+    after ``iters`` iterations.
 
-    The live rows' points, values, steps, floors and proposal faces are
-    held compactly and gathered again only when a row leaves.  A live
-    point is already off the hyperplanes, so a proposal needs only its
-    moved coordinate pushed off before the shell projection.
+    The live rows' state, their faces' masks and the slots of their moves
+    are rebuilt only when a row leaves.  A live point is already off the
+    hyperplanes, so a proposal needs only its moved coordinate pushed off.
     """
     floor = np.broadcast_to(tau_axis, (starts.shape[0], 1))[:, 0]
     faces = np.broadcast_to(faces, starts.shape[:1])
     X = _project_torus(np.ascontiguousarray(starts, dtype=float).T, floor)
     vals = comp.normalized(X, faces)
     n = comp.n
-    axes = np.arange(n)
-    up_down = np.array([1.0, -1.0])[:, None, None]
+    axes, up_down = np.arange(n)[:, None], np.array([1.0, -1.0])[:, None, None]
     # No objective is negative, so a row at 0 (or NaN) can never improve.
     live = np.flatnonzero(vals > 0)
     x, val, step, tau = X[:, live], vals[live], np.full(live.size, 0.25), floor[live]
-    # Column first[r] + 2j + s of the flattened proposals is proposal 2j + s of live row r.
-    first, owner = 2 * n * np.arange(live.size), np.repeat(faces[live], 2 * n)
+    first = np.zeros(0)
     for _ in range(iters):
         if live.size == 0:
             break
+        if first.size != live.size:
+            # A new live set.  Column first[r] + 2j + s of the proposals is
+            # proposal 2j + s of live row r; its coordinate j is entry slots[s, j, r].
+            first = 2 * n * np.arange(live.size)
+            slots = np.arange(2)[:, None, None] + (2 * n * live.size + 2) * axes + first
+            masks = comp.select(np.repeat(faces[live], 2 * n))
         # Proposal 2j (2j + 1) of a live row moves its coordinate j up
-        # (down) by its step: column (row, proposal) of an (n, live, 2n) array.
-        proposals = np.repeat(x, 2 * n, axis=1).reshape(n, live.size, 2 * n)
-        moved = _off_axes(x + step * up_down, tau)
-        proposals.reshape(n, live.size, n, 2)[axes, :, axes] = moved.transpose(1, 2, 0)
-        proposals = _shell(proposals, tau[:, None]).reshape(n, -1)
-        cand = comp.normalized(proposals, owner)
+        # (down) by its step.
+        proposals = x.repeat(2 * n, axis=1)
+        np.put(proposals, slots, _off_axes(x + step * up_down, tau))
+        proposals = _shell(proposals.reshape(n, live.size, 2 * n), tau[:, None]).reshape(n, -1)
+        cand = comp.normalized(proposals, masks=masks)
         # An objective is never -0.0, so this is the row minimum but for
         # the payload of a NaN, which never improves.
         pick = first + cand.reshape(live.size, 2 * n).argmin(axis=1)
-        best = cand[pick]
+        best = cand.take(pick)
         improved = best < val
-        x = np.where(improved, proposals[:, pick], x)
+        x = np.where(improved, proposals.take(pick, axis=1), x)
         val = np.where(improved, best, val)
-        stay = improved | (step > 1e-12)
+        stay = (improved | (step > 1e-12)) & (val > 0)
         step = np.maximum(step * np.where(improved, 1.4, 0.6), 1e-12)
         if not stay.all():
             X[:, live], vals[live] = x, val
             live = live[stay]
             x, val, step, tau = x[:, stay], val[stay], step[stay], tau[stay]
-            first, owner = 2 * n * np.arange(live.size), np.repeat(faces[live], 2 * n)
     X[:, live], vals[live] = x, val
     return X.T, vals
 

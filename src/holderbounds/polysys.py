@@ -370,6 +370,11 @@ class PolySystem:
         )
 
 
+def _require_variables(system: PolySystem, what: str) -> None:
+    if system.n == 0:
+        raise PolynomialError(f"the system has no variables, so it has no {what}")
+
+
 # -- parsing -------------------------------------------------------------------
 
 # Names and digits are ASCII: Unicode \w would read x² as one name.

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import ExponentReport
 from .evaluator import ValueOverflowError, _CompiledMap
-from .polysys import PolySystem, rational_str
+from .polysys import PolySystem, _require_variables, rational_str
 
 
 class FeasibleSetEmptyError(RuntimeError):
@@ -622,6 +622,7 @@ class DistanceOracle:
 
 def distance_to_S(system: PolySystem, x, cfg: DistanceConfig | None = None) -> DistanceResult:
     """One-shot distance estimate; build a DistanceOracle to amortise."""
+    _require_variables(system, "distance to S")
     return DistanceOracle(system, cfg).distance(x)
 
 
@@ -701,6 +702,7 @@ def slope(system: PolySystem, x) -> SlopeResult:
     Exact float ties do not happen, so component i is active when
     max_j f_j(x) - f_i(x) <= 1e-8 (1 + |max_j f_j(x)|).
     """
+    _require_variables(system, "slope")
     values, jac = _CompiledSystem(system)(x)
     return _slope_from_data(values[0], jac[0], system.p)
 

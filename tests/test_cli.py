@@ -608,3 +608,40 @@ def test_overflowing_pool_draws_raise_no_warning(capsys):
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert "S is possibly empty" in capsys.readouterr().err
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    """A JSON value: nested containers (empty ones included) of text with
+    non-ASCII and escaped characters, floats with NaN and +-inf, bools,
+    None and ints past 2^63."""
+    leaves = [
+        lambda: rng.choice(["", "x", "é ü", "Hölder", "tab\there", 'q"uote\\', "☃\U0001f600", "\x00\x1f"]),
+        lambda: rng.choice([0.0, -0.0, 1e-320, 1.5, -2.0 / 3.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([0, -1, 7, 2**63, -(2**63) - 1, 10**40]),
+    ]
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind < 5:
+        return leaves[kind]()
+    size = rng.choice([0, 1, 2, 5])
+    if kind == 5:
+        return {rng.choice(["a", "b", "é", "z1", "Z", "", "long key"]) + str(k): _random_payload(rng, depth + 1) for k in range(size)}
+    if kind == 6:
+        return [_random_payload(rng, depth + 1) for _ in range(size)]
+    return [leaves[rng.choice([1, 2])]() for _ in range(size)] + [rng.uniform(-1.0, 1.0)]
+
+
+def test_json_rendering_matches_json_dumps():
+    from holderbounds.cli import _dumps
+
+    rng = random.Random(11)
+    for _ in range(400):
+        payload = _random_payload(rng)
+        assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # Keys that are not text are written as json writes them, and a value
+    # JSON lacks raises as json raises.
+    for odd in ({2: None, 10: (1.5, "t"), 1: [[], {}]}, {1.5: 0, -0.5: 1}, {True: 1, False: 2}):
+        assert _dumps(odd) == json.dumps(odd, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumps({"a": {1, 2}})

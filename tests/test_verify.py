@@ -95,6 +95,18 @@ def test_distance_empty_feasible_set():
         distance_to_S(system, (0.0,), DistanceConfig(grid_points=64))
 
 
+def test_system_without_variables():
+    # A constant system is one point, R^0: its residual is its largest
+    # value, and it has neither a slope nor a distance to S.
+    system = parse_system("f1 = 1\nf2 = -2")
+    assert residual(system, []) == 1.0
+    assert residual(parse_system("f1 = -1"), ()) == 0.0
+    with pytest.raises(ValueError, match="^the system has no variables, so it has no slope$"):
+        slope(system, [])
+    with pytest.raises(ValueError, match="^the system has no variables, so it has no distance to S$"):
+        distance_to_S(system, [])
+
+
 def test_slope_singleton_matches_gradient_norm():
     single = parse_system("f1 = x^2 + y^2 - 1")
     out = slope(single, (1.0, 0.0))

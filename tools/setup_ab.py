@@ -5,6 +5,8 @@ Usage:
         [--pyc none|current] [--no-site]
     python tools/setup_ab.py PARENT CHANGE --workload geometry --bench SECONDS
         [--pairs 10] [--pyc none|current]
+    python tools/setup_ab.py PARENT CHANGE --workload certify --rss-passes N
+        [--pairs 10] [--pyc none|current]
 
 PARENT and CHANGE are checkouts of the repository.  Runs alternate
 between the trees, and the side that goes first alternates from pair to
@@ -22,6 +24,14 @@ benchmark's default seed, started from the tree's root; a run that
 does not report ``correct`` with no failed job stops the comparison.
 Every end-to-end metric that ``BENCHMARK.json`` in CHANGE declares is
 compared.
+
+With ``--rss-passes N`` each run is a fresh interpreter, started from
+the tree's root, that loads ``bench/run.py`` as a module and makes N of
+its untraced passes over the workload's jobs, each checked as the
+benchmark checks it, then reports its ``ru_maxrss`` as ``peak_rss_mb``.
+The benchmark's ``peak_rss_mb`` is the same reading after as many passes
+as fit in its run, so equal pass counts tell whether a change in it
+comes from the code or from the number of passes.
 
 ``--pyc none`` deletes the ``__pycache__`` directories under both trees'
 ``src`` and runs with ``PYTHONDONTWRITEBYTECODE=1``, so every run compiles
@@ -99,6 +109,36 @@ def bench_once(root: Path, args: argparse.Namespace, env: dict, flags: list[str]
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+# Run from a tree's root: N passes of bench/run.py's jobs, then the peak RSS.
+RSS_CODE = """\
+import os, resource, sys
+sys.path.insert(0, os.path.join(os.getcwd(), "bench"))
+import run
+workload, passes = sys.argv[1], int(sys.argv[2])
+jobs = run.workloads.WORKLOADS[workload]
+reference = run.workloads.load_reference(workload)
+systems = run.workloads.load_systems(run.workloads.input_paths(jobs))
+seed = run.workloads.DEFAULT_SEED
+failed = sum(
+    run.count_failed(run.check_pass(jobs, run.run_pass(jobs, systems, seed)[0], reference, seed)[1])
+    for _ in range(passes)
+)
+print(failed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+def rss_once(root: Path, args: argparse.Namespace, env: dict, flags: list[str]) -> dict[str, float]:
+    """The peak RSS of a fresh interpreter after ``--rss-passes`` passes in ``root``."""
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", RSS_CODE, args.workload, str(args.rss_passes)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    failed, peak = done.stdout.split()[-2:]
+    if int(failed):
+        raise SystemExit(f"{root}: {failed} job runs failed their checks")
+    return {"peak_rss_mb": float(peak)}
+
+
 def end_to_end(root: Path) -> dict[str, tuple[str, str]]:
     """Name -> (unit, better) of each end-to-end metric in ``root``'s ``BENCHMARK.json``."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -119,12 +159,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--pyc", choices=("none", "current"), default="none")
     parser.add_argument("--no-site", action="store_true")
-    parser.add_argument("--bench", type=float, metavar="SECONDS")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--bench", type=float, metavar="SECONDS")
+    mode.add_argument("--rss-passes", type=int, metavar="N")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     if args.bench is not None and args.bench <= 0:
         parser.error("--bench must be positive")
+    if args.rss_passes is not None and args.rss_passes < 1:
+        parser.error("--rss-passes must be at least 1")
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in roots.values():
@@ -134,7 +178,13 @@ def main(argv: list[str] | None = None) -> int:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     flags = ["-S"] if args.no_site else []
 
-    if args.bench is None:
+    if args.rss_passes is not None:
+        metrics = {"peak_rss_mb": ("MB", "lower")}
+        heading = f"peak RSS after {args.rss_passes} passes"
+
+        def run(side: str) -> dict[str, float]:
+            return rss_once(roots[side], args, env, flags)
+    elif args.bench is None:
         code = setup_code(roots["change"] / "bench" / "run.py")
         paths = workload_inputs(roots["change"], args.workload)
         metrics = {"setup_s": ("s", "lower")}
