@@ -13,12 +13,14 @@ is an upper-bound estimator: local projections from the nearest points
 of a feasible anchor pool, plus the Gauss-Newton projection of the query
 itself.  The pool comes from a feasibility grid: its least infeasible
 draws descend together by damped Gauss-Newton steps on the squared
-violation.  All queries are projected together: each (query, anchor)
-pair is one row of a batched SQP iteration with the exact Lagrangian
-Hessian, whose QP subproblems are solved by enumerating active sets.  A
-row's end point, polished, is a candidate wherever every component is at
-most ``tau_feas`` there, whether or not the row converged.  Each bound is
-a local projection: on a nonconvex S the descent can settle in a farther
+violation.  The queries are projected together, in batches of as many as
+a budget of floats holds (``_BATCH_FLOATS``; the 500 queries of a demo
+fit one): each (query, anchor) pair is one row of a batched SQP
+iteration with the exact Lagrangian Hessian, whose QP subproblems are
+solved by enumerating active sets, one size at a time.  A row's end
+point, polished, is a candidate wherever every component is at most
+``tau_feas`` there, whether or not the row converged.  Each bound is a
+local projection: on a nonconvex S the descent can settle in a farther
 local minimum than the nearest one, and where a constraint gradient
 vanishes on S (the constraint qualification fails) a row can stall short
 of it.  Upper bounds make every fitted constant conservative in the safe
@@ -97,15 +99,16 @@ class _CompiledSystem:
 
 @_quiet
 def residual(system: PolySystem, x) -> float:
-    """Constraint violation [f(x)]_+ = max(0, max_i f_i(x))."""
-    return float(max(0.0, _CompiledSystem(system)(x)[0].max()))
+    """Constraint violation [f(x)]_+ = max(0, max_i f_i(x)): inf where a
+    value overflows to +inf, and a ValueOverflowError where one is NaN."""
+    value = _CompiledSystem(system)(x)[0].max()
+    if np.isnan(value):
+        raise ValueOverflowError("the system's values overflow floating point at the point")
+    return float(max(0.0, value))
 
 
 # -- distance oracle ---------------------------------------------------------------
 
-# Queries per lockstep batch: bounds the batch's memory whatever the
-# number of queries.  Rows never interact, so it changes no result.
-_CHUNK = 256
 # Iteration cap of one lockstep SQP row; a row that reaches it stops there.
 _SQP_ITERS = 60
 # A row whose step is below this (times 1 + |a|) sits at its fixed point.
@@ -118,13 +121,26 @@ _MULTIPLIER_CAP = 1e4
 # with m (m = 3 gives at most 8 * max(n, 3)), so a row of a system past
 # it enumerates only the most constraints that fit.
 _QP_WIDTH = 256
+# Floats per lockstep batch: bounds the batch's memory whatever the
+# number of queries.  A query counts as the rows its first round can hold
+# (stall_limit + 1) times a row's floats: its QP width, as _QP_WIDTH counts
+# it, plus its values, Jacobian, Hessians, gauges, multipliers and merit
+# weights.  So with the default stall_limit of 3, a system whose QP width
+# is _QP_WIDTH gets at most 256 queries a batch.  Rows never interact, so
+# the budget changes no result.
+_BATCH_FLOATS = 256 * 4 * _QP_WIDTH
 # Iteration cap of the anchor pool's Gauss-Newton descent.
 _POOL_ITERS = 200
 # The halvings k of a backtracking line search (t = 2^-k, k < 40), in the
-# blocks tried in one map call each: most rows pass at k = 0 and nearly
-# every other row that passes does so by k = 4, so the few rows left hold
-# the 35 trials of the last block.
+# blocks tried together: most rows pass at k = 0 and nearly every other
+# row that passes does so by k = 4, so the few rows left hold the 35
+# trials of the last block.
 _HALVINGS = ((0, 1), (1, 5), (5, 40))
+# The most trials one map call of a block evaluates, so that the line
+# search's tables stay bounded as _BATCH_FLOATS bounds the QP's arrays: a
+# block multiplies its rows by up to 35.  A row's trial does not depend on
+# the others in its call, so the calls change no result.
+_TRIAL_POINTS = 2048
 
 
 def _squared_violation(values: np.ndarray) -> np.ndarray:
@@ -146,11 +162,12 @@ def _backtrack(count: int, trial):
     ``trial(rows, t)`` tries row ``rows[i]`` at step size ``t[i]`` for
     every i and returns the mask of trials that pass and a tuple of
     per-trial arrays.  Each block of ``_HALVINGS`` tries every row still
-    searching at all of its step sizes in one call; a row's trial does
-    not depend on the others in the call, so each row takes its first
-    passing t, as a search that halves t one call at a time does.
-    Returns every row's t (0 where no halving passes), the rows that
-    passed and, in that order, the arrays of their passing trials.
+    searching at all of its step sizes, in calls of at most
+    ``_TRIAL_POINTS`` trials; a row's trial does not depend on the others
+    in the call, so each row takes its first passing t, as a search that
+    halves t one call at a time does.  Returns every row's t (0 where no
+    halving passes), the rows that passed and, in that order, the arrays
+    of their passing trials.
     """
     t = np.zeros(count)
     pending = np.arange(count)
@@ -159,15 +176,47 @@ def _backtrack(count: int, trial):
         if pending.size == 0:
             break
         steps = np.ldexp(1.0, -np.arange(lo, hi))
-        ok, data = trial(np.repeat(pending, hi - lo), np.tile(steps, pending.size))
-        ok = ok.reshape(pending.size, hi - lo)
-        hit = ok.any(axis=1)
-        first = ok[hit].argmax(axis=1)
-        t[pending[hit]] = steps[first]
-        passed.append(pending[hit])
-        kept.append(tuple(d[np.flatnonzero(hit) * (hi - lo) + first] for d in data))
-        pending = pending[~hit]
+        size = max(1, _TRIAL_POINTS // (hi - lo))
+        searching, pending = pending, pending[:0]
+        for start in range(0, searching.size, size):
+            rows = searching[start : start + size]
+            ok, data = trial(np.repeat(rows, hi - lo), np.tile(steps, rows.size))
+            ok = ok.reshape(rows.size, hi - lo)
+            hit = ok.any(axis=1)
+            first = ok[hit].argmax(axis=1)
+            t[rows[hit]] = steps[first]
+            passed.append(rows[hit])
+            kept.append(tuple(d[np.flatnonzero(hit) * (hi - lo) + first] for d in data))
+            pending = np.concatenate([pending, rows[~hit]])
     return t, np.concatenate(passed), tuple(map(np.concatenate, zip(*kept)))
+
+
+def _multipliers(schur: np.ndarray, rhs: np.ndarray, sets):
+    """QP multipliers (rows, len(sets), m) of every active set in ``sets``
+    (one row of constraint indices per set; None is the empty set alone),
+    and whether each set's Schur matrix is regular."""
+    rows, m = rhs.shape
+    if sets is None:
+        return np.zeros((rows, 1, m)), np.ones((rows, 1), dtype=bool)
+    k = sets.shape[1]
+    # The Schur matrix scaled to a unit diagonal, so that a short gradient
+    # alone neither counts as a dependent one nor costs the solve its
+    # accuracy.
+    M = schur[:, sets[:, :, None], sets[:, None, :]]
+    diag = np.sqrt(np.abs(np.diagonal(M, axis1=-2, axis2=-1)))
+    regular = (diag > 0).all(axis=-1)
+    diag[~regular] = 1.0
+    M = M / (diag[..., :, None] * diag[..., None, :])
+    # A 1x1 matrix is its own eigenvalue, and its solve a division.
+    least = M[..., 0, 0] if k == 1 else np.linalg.eigvalsh(M)[..., 0]
+    regular &= least > 1e-12
+    M = np.where(regular[..., None, None], M, np.eye(k))
+    b = rhs[:, sets] / diag
+    sub = (b / M[..., 0] if k == 1 else np.linalg.solve(M, b[..., None])[..., 0]) / diag
+    lam = np.zeros((rows, len(sets), m))
+    for column in range(k):
+        lam[:, np.arange(len(sets)), sets[:, column]] = sub[..., column]
+    return lam, regular
 
 
 @dataclass(frozen=True)
@@ -235,9 +284,13 @@ class DistanceOracle:
     tried last, since which basin a projection from an anchor lands in
     can turn on the last bits of a sum.  A point, polished, is a
     candidate only if every component is at most ``tau_feas`` at it.
-    More budget can only tighten the answer.  Rows never interact, so a
-    query's result does not depend on the batch it is in:
-    ``distance(x)`` is ``distances([x])[0]``.
+    More budget can only tighten the answer.  ``distances`` projects
+    its queries in batches of at most ``_BATCH_FLOATS`` floats, a query
+    counting as the rows of its first round (``stall_limit + 1``) times
+    ``_row_floats``, a row's QP width plus its values, Jacobian,
+    Hessians, gauges, multipliers and merit weights.  Rows never
+    interact, so a query's result does not depend on the batch it is
+    in: ``distance(x)`` is ``distances([x])[0]``.
     """
 
     def __init__(self, system: PolySystem, cfg: DistanceConfig | None = None):
@@ -258,6 +311,10 @@ class DistanceOracle:
             np.array(list(itertools.combinations(range(self._qp_constraints), k)))
             for k in range(1, min(n, self._qp_constraints) + 1)
         ]
+        # A row's floats in a batch: its QP width, then p values, p n Jacobian
+        # and p n^2 Hessian entries, p (1 + n) gauges, p multipliers and p
+        # merit weights.
+        self._row_floats = width(self._qp_constraints) + p * (n * n + 2 * n + 4)
 
     # feasibility ------------------------------------------------------------
 
@@ -371,14 +428,22 @@ class DistanceOracle:
 
         H is positive definite, so the QP's solution is the KKT point of
         one active set; every set of at most min(n, p) constraints is
-        tried at once.  Past ``_QP_WIDTH`` the sets are drawn from each
-        row's ``_qp_constraints`` constraints of largest value at its
-        iterate only.  A set is valid when its Schur matrix J_A H^-1 J_A'
-        is nonsingular, its multipliers are nonnegative and the step
-        keeps every other linearised constraint, of all p; so a row whose
-        drawn constraints miss the active ones finds no valid set.
-        Returns the step and multipliers of the valid set with the least
-        QP objective, and whether any set was valid.
+        tried.  Past ``_QP_WIDTH`` the sets are drawn from each row's
+        ``_qp_constraints`` constraints of largest value at its iterate
+        only.  A set is valid when its Schur matrix J_A H^-1 J_A' is
+        nonsingular, its multipliers are nonnegative and the step keeps
+        every other linearised constraint, of all p; so a row whose drawn
+        constraints miss the active ones finds no valid set.  Returns the
+        step and multipliers of the valid set with the least QP objective
+        (the first of equals, NaN first, as ``argmin`` takes them; a row
+        with one valid set takes it, and a row with none the empty set),
+        and whether any set was valid.
+
+        The sets are tried one size at a time, the empty set first, so a
+        row holds the arrays of one size's sets at a time.  Each row keeps
+        two running picks: its first valid set, and its least once it has
+        two.  Only then are objectives taken: the first valid set's, then
+        those of the sets that follow.
         """
         rows, p, n = J.shape
         f_all, J_all = f, J
@@ -389,56 +454,71 @@ class DistanceOracle:
         w, W = sol[:, :, 0], sol[:, :, 1:]  # H^-1 g and H^-1 J'
         schur = np.einsum("rpj,rjq->rpq", J, W)
         rhs = f - np.einsum("rpj,rj->rp", J, w)
-        count = 1 + sum(len(sets) for sets in self._active_sets)
-        lam = np.zeros((rows, count, f.shape[1]))
-        valid = np.ones((rows, count), dtype=bool)
-        slot = 1  # slot 0 is the empty set
-        for k, sets in enumerate(self._active_sets, start=1):
-            # The Schur matrix scaled to a unit diagonal, so that a short
-            # gradient alone neither counts as a dependent one nor costs
-            # the solve its accuracy.
-            M = schur[:, sets[:, :, None], sets[:, None, :]]
-            diag = np.sqrt(np.abs(np.diagonal(M, axis1=-2, axis2=-1)))
-            regular = (diag > 0).all(axis=-1)
-            diag[~regular] = 1.0
-            M = M / (diag[..., :, None] * diag[..., None, :])
-            # A 1x1 matrix is its own eigenvalue, and its solve a division.
-            least = M[..., 0, 0] if k == 1 else np.linalg.eigvalsh(M)[..., 0]
-            regular &= least > 1e-12
-            M = np.where(regular[..., None, None], M, np.eye(k))
-            b = rhs[:, sets] / diag
-            sub = (b / M[..., 0] if k == 1 else np.linalg.solve(M, b[..., None])[..., 0]) / diag
-            slots = np.arange(slot, slot + len(sets))
-            for column in range(k):
-                lam[:, slots, sets[:, column]] = sub[..., column]
-            valid[:, slots] = regular
-            slot += len(sets)
-        steps = -w[:, None, :] - np.einsum("rjq,rsq->rsj", W, lam)
-        linear = f_all[:, None, :] + np.einsum("rpj,rsj->rsp", J_all, steps)
         # Tolerance of the linearised constraints: rounding in a step scales
         # with the unconstrained step w it corrects, even where the step is
         # tiny; where a gradient vanishes, the rounding of f and J (their
         # gauges) is all there is.
-        size = np.linalg.norm(steps, axis=2) + np.linalg.norm(w, axis=1)[:, None]
-        scale = np.abs(f_all)[:, None, :] + np.linalg.norm(J_all, axis=2)[:, None, :] * size[:, :, None]
-        noise = gauge[0][:, None, :] + np.linalg.norm(gauge[1], axis=2)[:, None, :] * size[:, :, None]
-        valid &= (linear <= 1e-12 * scale + 1e-15 * noise).all(axis=2)
-        valid &= (lam >= -1e-10 * (1.0 + np.abs(lam).max(axis=2, keepdims=True))).all(axis=2)
-        # The QP objective decides only between valid sets: a row with one
-        # (or none) takes its first.
-        best = valid.argmax(axis=1)
-        tied = np.flatnonzero(valid.sum(axis=1) > 1)
-        step = steps[tied]
-        objective = np.einsum("rj,rsj->rs", g[tied], step) + 0.5 * np.einsum(
-            "rsj,rsj->rs", step, np.einsum("rjk,rsk->rsj", H[tied], step)
-        )
-        best[tied] = np.where(valid[tied], objective, np.inf).argmin(axis=1)
-        pick = np.arange(rows)
-        lam = np.maximum(lam[pick, best], 0.0)
+        w_size = np.linalg.norm(w, axis=1)[:, None]
+        J_scale = np.linalg.norm(J_all, axis=2)[:, None, :]
+        f_noise, J_noise = gauge[0][:, None, :], np.linalg.norm(gauge[1], axis=2)[:, None, :]
+        count = np.zeros(rows, dtype=int)  # valid sets so far
+
+        def keep_least(at, valid, steps, lam):
+            """Rows ``at`` move their least pick to the first of their valid
+            sets among ``steps`` that ``argmin`` puts before it: a smaller
+            objective, or NaN.  A tie, or every value inf, keeps the pick."""
+            objective = np.einsum("rj,rsj->rs", g[at], steps) + 0.5 * np.einsum(
+                "rsj,rsj->rs", steps, np.einsum("rjk,rsk->rsj", H[at], steps)
+            )
+            value = np.where(valid, objective, np.inf)
+            pick = np.arange(at.size), value.argmin(axis=1)
+            take = np.argmin([least[at], value[pick]], axis=0) == 1
+            least[at[take]] = value[pick][take]
+            least_step[at[take]], least_lam[at[take]] = steps[pick][take], lam[pick][take]
+
+        for sets in [None] + self._active_sets:
+            lam, valid = _multipliers(schur, rhs, sets)
+            steps = np.einsum("rjq,rsq->rsj", W, lam)
+            np.subtract(-w[:, None, :], steps, out=steps)
+            size = np.linalg.norm(steps, axis=2)
+            size += w_size
+            size = size[:, :, None]
+            # 1e-12 (|f| + |J| size) + 1e-15 (gauge f + |gauge J| size), in place.
+            tol = J_scale * size
+            tol += np.abs(f_all)[:, None, :]
+            tol *= 1e-12
+            noise = J_noise * size
+            noise += f_noise
+            noise *= 1e-15
+            tol += noise
+            del size, noise
+            linear = np.einsum("rpj,rsj->rsp", J_all, steps)
+            np.add(f_all[:, None, :], linear, out=linear)
+            valid &= (linear <= tol).all(axis=2)
+            del linear, tol
+            valid &= (lam >= -1e-10 * (1.0 + np.abs(lam).max(axis=2, keepdims=True))).all(axis=2)
+            if sets is None:  # both picks start at the empty set
+                first_step, first_lam = steps[:, 0], lam[:, 0]
+                least = np.full(rows, np.inf)
+                least_step, least_lam = first_step.copy(), first_lam.copy()
+            found = valid.sum(axis=1)
+            tied = np.flatnonzero((found > 0) & (count + found >= 2))
+            second = tied[count[tied] == 1]  # rows whose first valid set came earlier
+            if second.size:
+                keep_least(second, True, first_step[second, None], first_lam[second, None])
+            if tied.size:
+                keep_least(tied, valid[tied], steps[tied], lam[tied])
+            new = np.flatnonzero((count == 0) & (found > 0))
+            at = valid[new].argmax(axis=1)
+            first_step[new], first_lam[new] = steps[new, at], lam[new, at]
+            count += found
+            del lam, steps
+        tied = (count >= 2)[:, None]
+        lam = np.maximum(np.where(tied, least_lam, first_lam), 0.0)
         if self._qp_constraints < p:
             drawn_lam, lam = lam, np.zeros((rows, p))
             np.put_along_axis(lam, drawn, drawn_lam, 1)
-        return steps[pick, best], lam, valid.any(axis=1)
+        return np.where(tied, least_step, first_step), lam, count > 0
 
     @staticmethod
     def _hessian(mu, J, hess):
@@ -472,6 +552,34 @@ class DistanceOracle:
         H[bad] = np.eye(n)
         return H
 
+    def _sqp_step(self, a, x, mu, nu):
+        """The QP step of every row from its iterate a towards its query x.
+
+        The QP takes the Lagrangian Hessian of the previous multipliers mu
+        (``_hessian``).  Returns the step, the multipliers, whether the
+        QP found a valid set with multipliers under the cap (the step is
+        0 where it did not), the new merit weights (from the previous
+        ones, nu), and the merit and its slope along the step at a.  Only
+        these outlive the call, not f, J, the Hessians or the gauges.
+        """
+        f, J, hess, gauge = self.comp.full(a)
+        g = a - x
+        H = self._hessian(mu, J, hess)
+        del hess
+        s, lam, solved = self._qp_steps(g, f, J, H, gauge)
+        gnorm = np.linalg.norm(g, axis=1)
+        solved &= lam.max(axis=1, initial=0.0) <= _MULTIPLIER_CAP * (1.0 + gnorm)
+        s[~solved] = 0.0
+        # Powell's weights on 1.5 times the multipliers: the margin keeps a
+        # correction step's decrease above rounding, and large weights decay
+        # once the multipliers do (a weight stuck high rejects the full step
+        # near the solution).
+        weights = np.maximum(1.5 * lam, 0.5 * (nu + 1.5 * lam)) + 1e-8
+        excess = np.einsum("rp,rp->r", weights, np.maximum(f, 0.0))
+        merit = 0.5 * gnorm**2 + excess
+        slope = np.einsum("rj,rj->r", g, s) - excess
+        return s, lam, solved, weights, merit, slope
+
     def _lockstep(self, X, A):
         """Project row i of X onto S by SQP from the anchor in row i of A.
 
@@ -485,30 +593,13 @@ class DistanceOracle:
         valid, when its multipliers pass the cap, when its line search
         fails short of the floor or when it reaches the iteration cap.
         """
-        rows, n = X.shape
         A = np.array(A, dtype=float)
-        mu = np.zeros((rows, self.system.p))
-        nu = np.zeros((rows, self.system.p))
-        converged = np.zeros(rows, dtype=bool)
-        live = np.arange(rows)
+        converged = np.zeros(len(A), dtype=bool)
+        # The live rows' indices, iterates, queries, multipliers and weights.
+        live, a, x = np.arange(len(A)), A, X
+        mu = nu = np.zeros((len(A), self.system.p))
         for _ in range(_SQP_ITERS):
-            a, x = A[live], X[live]
-            f, J, hess, gauge = self.comp.full(a)
-            g = a - x
-            H = self._hessian(mu[live], J, hess)
-            s, lam, solved = self._qp_steps(g, f, J, H, gauge)
-            gnorm = np.linalg.norm(g, axis=1)
-            solved &= lam.max(axis=1, initial=0.0) <= _MULTIPLIER_CAP * (1.0 + gnorm)
-            s[~solved] = 0.0
-            # Powell's weights on 1.5 times the multipliers: the margin keeps
-            # a correction step's decrease above rounding, and large weights
-            # decay once the multipliers do (a weight stuck high rejects the
-            # full step near the solution).
-            weights = np.maximum(1.5 * lam, 0.5 * (nu[live] + 1.5 * lam)) + 1e-8
-            nu[live] = weights
-            excess = np.einsum("rp,rp->r", weights, np.maximum(f, 0.0))
-            merit = 0.5 * gnorm**2 + excess
-            slope = np.einsum("rj,rj->r", g, s) - excess
+            s, lam, solved, weights, merit, slope = self._sqp_step(a, x, mu, nu)
             searched = np.flatnonzero(solved)
 
             def trial(rows, t):
@@ -524,15 +615,15 @@ class DistanceOracle:
             t = np.ones(live.size)
             t[searched] = _backtrack(searched.size, trial)[0]
             failed = searched[t[searched] == 0]
-            A[live] = a + t[:, None] * s
-            mu[live] = lam
             done = solved & (
                 np.linalg.norm(s, axis=1) <= _STEP_FLOOR * (1.0 + np.linalg.norm(a, axis=1))
             )
             # A row whose line search failed short of its floor is stuck.
             solved[failed] = done[failed]
             converged[live[done]] = True
-            live = live[solved & ~done]
+            A[live] = a = a + t[:, None] * s
+            keep = solved & ~done
+            live, a, x, mu, nu = live[keep], a[keep], x[keep], lam[keep], weights[keep]
             if live.size == 0:
                 break
         return A, converged
@@ -546,9 +637,12 @@ class DistanceOracle:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("distances takes a 2-d array with one point per row")
+        if X.shape[1] != self.system.n:
+            raise ValueError(f"points of length {X.shape[1]} for a {self.system.n}-variable system")
+        batch = max(1, _BATCH_FLOATS // ((self.cfg.stall_limit + 1) * self._row_floats))
         out: list[DistanceResult] = []
-        for start in range(0, X.shape[0], _CHUNK):
-            out.extend(self._distances(X[start : start + _CHUNK]))
+        for start in range(0, X.shape[0], batch):
+            out.extend(self._distances(X[start : start + batch]))
         return out
 
     def _distances(self, X) -> list[DistanceResult]:
@@ -567,10 +661,11 @@ class DistanceOracle:
         pool = self.feasible_pool()
         Q = X[queries]
         dists = np.linalg.norm(pool[None, :, :] - Q[:, None, :], axis=2)
-        order = np.argsort(dists, axis=1)[:, : cfg.multistarts]
+        order = np.argsort(dists, axis=1)[:, : cfg.multistarts].astype(np.int32)
         width = order.shape[1]
         best_d = dists.min(axis=1).tolist()
         best_a = pool[dists.argmin(axis=1)]
+        del dists
         stalls = [0] * len(Q)
         walked = [0] * len(Q)
         ended = [False] * len(Q)
@@ -582,21 +677,17 @@ class DistanceOracle:
         # so far) unless the anchor is already a local projection.  So the
         # first round takes one anchor more and saves a round.
         while walking:
-            rows = [
-                (q, k)
-                for q in walking
-                for k in range(
-                    walked[q],
-                    min(walked[q] + max(1, cfg.stall_limit - stalls[q]) + (walked[q] == 0), width),
-                )
-            ]
-            qs = np.array([q for q, _ in rows])
-            anchors = pool[order[qs, [k for _, k in rows]]]
-            points = self._polish(self._lockstep(Q[qs], anchors)[0])
+            qs, ks = [], []  # the round's rows: query q from its k-th nearest anchor
+            for q in walking:
+                stop = min(walked[q] + max(1, cfg.stall_limit - stalls[q]) + (walked[q] == 0), width)
+                qs += [q] * (stop - walked[q])
+                ks += range(walked[q], stop)
+            rows = np.array(qs)
+            points = self._polish(self._lockstep(Q[rows], pool[order[rows, ks]])[0])
             feasible = (self.comp(points)[0].max(axis=1) <= cfg.tau_feas).tolist()
-            gaps = _row_norms(points - Q[qs]).tolist()
+            gaps = _row_norms(points - Q[rows]).tolist()
             nearest = {}  # query -> its row of this round that tightened its bound last
-            for row, (q, k) in enumerate(rows):
+            for row, (q, k) in enumerate(zip(qs, ks)):
                 if ended[q]:
                     continue
                 improved = feasible[row] and gaps[row] < best_d[q] - 1e-12

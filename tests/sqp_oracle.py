@@ -8,7 +8,7 @@ constraint or more, by LAPACK and takes the QP objective of every row;
 ``_hessian`` checks every row's eigenvalues; the walk in ``_distances``
 takes one ``np.linalg.norm`` per row; and the pool's dedup compares one
 anchor at a time.  The polish,
-the compiled map and the chunking are the library's.  The library must
+the compiled map and the batching are the library's.  The library must
 match it bit for bit.
 
 ``failed_sqp_searches`` and ``failed_pool_searches`` count the rows

@@ -102,11 +102,15 @@ def test_lockstep_matches_sequential_oracle(case):
 
 
 def test_results_do_not_depend_on_the_chunk(monkeypatch):
+    # The 30 queries fit one batch; a budget of 7 queries' floats makes
+    # five batches, and a budget below one query's floats one query each.
     oracle = _oracle("half_disk", 7)
     X = np.random.default_rng(3).uniform(-3.0, 3.0, size=(30, 2))
     whole = oracle.distances(X)
-    monkeypatch.setattr(verify, "_CHUNK", 7)
-    assert oracle.distances(X) == whole
+    query_floats = (oracle.cfg.stall_limit + 1) * oracle._row_floats
+    for budget in (7 * query_floats, 1):
+        monkeypatch.setattr(verify, "_BATCH_FLOATS", budget)
+        assert oracle.distances(X) == whole
     assert oracle.distances(X[:0]) == []
 
 

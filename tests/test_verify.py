@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from holderbounds.bounds import ExponentReport, holder_exponent
+from holderbounds.evaluator import ValueOverflowError
 from holderbounds.polysys import Polynomial, PolySystem, parse_system
 from holderbounds.verify import (
     DistanceConfig,
@@ -32,6 +33,17 @@ def test_residual_examples(half_disk):
     assert residual(half_disk, (2.0, 0.0)) == pytest.approx(3.0)
     assert residual(half_disk, (0.0, 1.0)) == pytest.approx(1.0)
     assert residual(half_disk, (-0.5, -0.5)) == 0.0
+
+
+def test_residual_raises_where_a_value_is_nan():
+    # x^2 - y^2 at (2e200, 1e200) is inf - inf in floats, though it is
+    # about 3e400 in exact arithmetic; a NaN coordinate gives NaN too.
+    # A NaN component hides the others' values, so no residual is known.
+    for text in ("f1 = x^2 - y^2", "f1 = x - 1\nf2 = x^2 - y^2"):
+        for x in ((2e200, 1e200), (math.nan, 0.0)):
+            with pytest.raises(ValueOverflowError, match="overflow floating point"):
+                residual(parse_system(text), x)
+    assert residual(parse_system("f1 = x^2 - y^2"), (2e200, 0.0)) == math.inf
 
 
 def test_distance_half_disk_analytic(half_disk):
